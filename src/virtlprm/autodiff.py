@@ -4,7 +4,9 @@ Supports exactly the operations the detector-prediction networks need:
 matrix products, 2-D cross-correlation, GELU, batch normalization,
 softmax, mean-squared-error loss, and the shape plumbing (reshape,
 transpose, concatenate) to wire them together. Gradients accumulate
-additively; callers zero them between optimization steps.
+additively across backward passes. Between optimization steps callers
+clear them to ``None`` (``zero_grads`` on a network does): the next pass
+then assigns each gradient instead of adding it to a zero buffer.
 """
 
 from __future__ import annotations
@@ -173,9 +175,13 @@ class Graph:
 def backward(graph: Graph, loss: Tensor) -> None:
     """Propagate gradients of a scalar loss back through a traced graph.
 
-    Gradients accumulate additively into ``grad`` on every tensor with
-    ``requires_grad`` that the loss depends on; tensors not reachable from
-    the loss are simply left untouched (their gradient is zero).
+    Gradients accumulate into ``grad`` on every tensor with
+    ``requires_grad`` that the loss depends on. A tensor whose ``grad`` is
+    ``None``, as a network's ``zero_grads`` leaves its parameters, is
+    assigned its first gradient; later ones are added out of place, never
+    into a buffer another tensor may share. Tensors not reachable from the
+    loss are left untouched: ``None`` after ``zero_grads``, zeros after
+    :meth:`Tensor.zero_grad`.
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")

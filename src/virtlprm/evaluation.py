@@ -401,7 +401,8 @@ def drift_report(predictor, frames, geom: CoreGeometry,
 
     Fits measured-minus-predicted residuals against the frame timestamps by
     least squares; a detector whose fitted residual at the latest frame
-    exceeds ``threshold`` in magnitude is flagged for calibration.
+    exceeds ``threshold`` in magnitude, or is not finite (a NaN or infinite
+    reading), is flagged for calibration.
     """
     frames = list(frames)
     if len(frames) < 2:
@@ -430,6 +431,6 @@ def drift_report(predictor, frames, geom: CoreGeometry,
         report.detectors[code] = DetectorDrift(
             slope=float(slope[col]),
             offset=float(offset_now[col]),
-            flagged=bool(abs(offset_now[col]) > threshold),
+            flagged=bool(not abs(offset_now[col]) <= threshold),
         )
     return report

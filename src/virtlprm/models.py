@@ -111,14 +111,25 @@ class _NetworkBase:
         return sum(t.size for t in self.params.values())
 
     def zero_grads(self):
+        """Clear every parameter's gradient to ``None``; the next backward
+        pass assigns it, so no zero buffer is allocated or added to."""
         for t in self.params.values():
-            t.zero_grad()
+            t.grad = None
 
-    def snapshot(self) -> dict:
-        return {
-            "params": {k: t.data.copy() for k, t in self.params.items()},
-            "stats": {k: s.copy() for k, s in self.stats.items()},
-        }
+    def snapshot(self, into: dict | None = None) -> dict:
+        """Copy of the parameters and running statistics; with ``into``, an
+        earlier snapshot of this model is overwritten instead of allocating."""
+        if into is None:
+            return {
+                "params": {k: t.data.copy() for k, t in self.params.items()},
+                "stats": {k: s.copy() for k, s in self.stats.items()},
+            }
+        for k, t in self.params.items():
+            np.copyto(into["params"][k], t.data)
+        for k, s in self.stats.items():
+            np.copyto(into["stats"][k].mean, s.mean)
+            np.copyto(into["stats"][k].var, s.var)
+        return into
 
     def restore(self, snap: dict):
         for k, t in self.params.items():
@@ -446,8 +457,10 @@ def load_checkpoint(path):
     else:
         raise DataError(f"unknown model type {manifest['model_type']!r}")
 
-    raw = np.fromfile(path / "params.bin", dtype="<f4")
+    blob = path / "params.bin"
+    raw = np.fromfile(blob, dtype="<f4")
     table = {}
+    expected = 0
     for entry in manifest["entries"]:
         shape = tuple(int(s) for s in entry["shape"])
         count = int(np.prod(shape)) if shape else 1
@@ -455,6 +468,10 @@ def load_checkpoint(path):
         if start + count > raw.size:
             raise DataError(f"checkpoint blob too small for entry {entry['key']}")
         table[entry["key"]] = raw[start:start + count].reshape(shape).copy()
+        expected += count
+    if blob.stat().st_size != raw.itemsize * expected:
+        raise DataError(f"checkpoint blob is {blob.stat().st_size} bytes, its entries "
+                        f"account for {raw.itemsize * expected}")
 
     for key, kind, arr in _state_entries(model):
         if key not in table:

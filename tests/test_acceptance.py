@@ -434,6 +434,7 @@ class TestCriterion7OptimizerOracle:
                "peak reached exactly once, never exceeded")
 
 
+@pytest.mark.slow
 class TestCriterion8EndToEndConvergence:
     def test_convergence_against_baselines(self, geom, c8_frames):
         t0 = time.time()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,15 @@ class TestDriftReport:
         assert report.detectors["5A"].slope < 0.0
         others = [d.slope for code, d in report.detectors.items() if code != "5A"]
         assert max(abs(s) for s in others) < abs(report.detectors["5A"].slope) / 10
+
+    def test_non_finite_reading_flagged(self, session_geom, clean_frames):
+        # A faulty instrument's NaN makes its offset NaN, which must not
+        # read as healthy; the other detectors are unaffected.
+        frames = [dataclasses.replace(f, readings=f.readings.copy()) for f in clean_frames]
+        frames[7].readings[session_geom.detector_index(DetectorId(11, "A"))] = np.nan
+        report = drift_report(OraclePredictor(), frames, session_geom, threshold=0.05)
+        assert np.isnan(report.detectors["11A"].offset)
+        assert report.flagged == ("11A",)
 
     def test_too_few_frames(self, session_geom, clean_frames):
         with pytest.raises(Exception):

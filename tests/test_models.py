@@ -38,6 +38,21 @@ def small_lprmnet_spec():
                        scalar_hidden=8, scalar_out=8, regression_hidden=8)
 
 
+def assert_live_gradients(net):
+    """Every bias but the readout's feeds a train-mode batch norm, which
+    subtracts the batch mean, so its exact gradient is zero: it must be zero
+    to rounding, at most 1e-3 of the model's largest gradient. Every other
+    parameter must get a nonzero gradient."""
+    for key, p in net.params.items():
+        assert p.grad is not None, f"no gradient for {key}"
+    largest = max(float(np.abs(p.grad).max()) for p in net.params.values())
+    for key, p in net.params.items():
+        if key.endswith(".bias") and key != "out.bias":
+            assert np.abs(p.grad).max() <= 1e-3 * largest, f"live batch-normed bias {key}"
+        else:
+            assert np.any(p.grad != 0.0), f"dead parameter {key}"
+
+
 def lprmnet_inputs(rng, spec, n=4, dtype=np.float32):
     h, w = spec.grid
     return {
@@ -109,8 +124,7 @@ class TestSurrogateNet:
         net.zero_grads()
         loss = ad.mse_loss(net.forward_batch({"x": x}, mode="train"), Tensor(y))
         loss.backward()
-        for key, p in net.params.items():
-            assert p.grad is not None and np.any(p.grad != 0.0), f"dead parameter {key}"
+        assert_live_gradients(net)
 
     def test_full_network_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -183,8 +197,7 @@ class TestLprmNet:
         net.zero_grads()
         loss = ad.mse_loss(net.forward_batch(inputs, mode="train"), Tensor(y))
         loss.backward()
-        for key, p in net.params.items():
-            assert p.grad is not None and np.any(p.grad != 0.0), f"dead parameter {key}"
+        assert_live_gradients(net)
 
     def test_gradient_wrt_single_power_node(self):
         # End-to-end: output derivative against one nodal-power entry.
@@ -309,6 +322,33 @@ class TestCheckpoints:
         blob.write_bytes(blob.read_bytes()[:-16])
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "c")
+
+    @pytest.mark.parametrize("extra", [b"\x00" * 4, b"\x00" * 2])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        net = SurrogateNet(SurrogateSpec(4, 2, (3,) * 6), seed=13)
+        save_checkpoint(net, tmp_path / "c")
+        with open(tmp_path / "c" / "params.bin", "ab") as fh:
+            fh.write(extra)
+        with pytest.raises(DataError, match="bytes"):
+            load_checkpoint(tmp_path / "c")
+
+    def test_snapshot_into_overwrites_buffers(self):
+        net = SurrogateNet(SurrogateSpec(4, 2, (3,) * 6), seed=14)
+        snap = net.snapshot()
+        buf = snap["params"]["fc1.weight"]
+        net.params["fc1.weight"].data += 1.0
+        net.stats["bn1"].mean += 2.0
+        assert net.snapshot(into=snap) is snap
+        assert snap["params"]["fc1.weight"] is buf
+        np.testing.assert_array_equal(buf, net.params["fc1.weight"].data)
+        np.testing.assert_array_equal(snap["stats"]["bn1"].mean, np.full(3, 2.0))
+
+    def test_zero_grads_clears_to_none(self):
+        net = SurrogateNet(SurrogateSpec(4, 2, (3,) * 6), seed=14)
+        for p in net.params.values():
+            p.grad = np.ones_like(p.data)
+        net.zero_grads()
+        assert all(p.grad is None for p in net.params.values())
 
     def test_snapshot_restore(self):
         net = SurrogateNet(SurrogateSpec(4, 2, (3,) * 6), seed=14)

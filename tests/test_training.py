@@ -6,6 +6,7 @@ from virtlprm.autodiff import Tensor
 from virtlprm.models import SurrogateNet, SurrogateSpec, surrogate_arrays, _NetworkBase
 from virtlprm.synthplant import PlantScenario, generate_cycle
 from virtlprm.training import (
+    ADAMW_BLOCK,
     AdamWState,
     DataSplit,
     DivergenceError,
@@ -43,7 +44,104 @@ def base_cfg(**kw):
     return TrainConfig(**defaults)
 
 
+def reference_adamw_step(params, grads, state):
+    """The update as whole-array passes over a full-size scratch: the
+    arithmetic the blocked ``adamw_step`` must reproduce bit for bit."""
+    state.t += 1
+    bias1 = 1.0 - state.beta1 ** state.t
+    bias2 = 1.0 - state.beta2 ** state.t
+    for key, g in grads.items():
+        p, m, v = params[key], state.m[key], state.v[key]
+        s = np.empty_like(p.data)
+        m *= state.beta1
+        np.multiply(g, 1.0 - state.beta1, out=s)
+        m += s
+        v *= state.beta2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - state.beta2
+        v += s
+        np.sqrt(v, out=s)
+        s *= 1.0 / np.sqrt(bias2)
+        s += state.eps
+        np.divide(m, s, out=s)
+        s *= state.lr / bias1
+        if state.weight_decay:
+            p.data *= 1.0 - state.lr * state.weight_decay
+        p.data -= s
+
+
+def multi_block_params(rng):
+    """A float64 scalar, then a float32 matrix spanning 2.5 blocks."""
+    return {
+        "scale": Tensor(np.array(0.7), requires_grad=True),
+        "weight": Tensor(rng.standard_normal((5, ADAMW_BLOCK // 2 + 7)).astype(np.float32),
+                         requires_grad=True),
+    }
+
+
+def random_grads(rng, params):
+    return {k: (rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-4, 1)).astype(p.dtype)
+            for k, p in params.items()}
+
+
 class TestAdamW:
+    def test_blocked_update_matches_whole_array_update_bitwise(self):
+        rng = np.random.default_rng(31)
+        params = multi_block_params(rng)
+        ref = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
+        assert params["weight"].size > 2 * ADAMW_BLOCK
+        cfg = base_cfg()
+        state, ref_state = AdamWState(params, cfg), AdamWState(ref, cfg)
+        for lr in (1e-3, 0.05, 0.3, 7e-6, 0.02):
+            grads = random_grads(rng, params)
+            state.lr = ref_state.lr = lr
+            adamw_step(params, grads, state)
+            reference_adamw_step(ref, grads, ref_state)
+            for key in params:
+                assert params[key].data.dtype == ref[key].data.dtype
+                for ours, theirs in ((params[key].data, ref[key].data),
+                                     (state.m[key], ref_state.m[key]),
+                                     (state.v[key], ref_state.v[key])):
+                    assert ours.tobytes() == theirs.tobytes(), f"{key} differs at lr {lr}"
+        assert state.t == ref_state.t == 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_in_last_block_changes_nothing(self, bad):
+        rng = np.random.default_rng(32)
+        params = multi_block_params(rng)
+        state = AdamWState(params, base_cfg())
+        for _ in range(2):
+            adamw_step(params, random_grads(rng, params), state)
+        before = ({k: p.data.copy() for k, p in params.items()},
+                  {k: m.copy() for k, m in state.m.items()},
+                  {k: v.copy() for k, v in state.v.items()})
+        grads = random_grads(rng, params)
+        grads["weight"].reshape(-1)[-1] = bad
+        with pytest.raises(DivergenceError, match="non-finite gradient for parameter 'weight'"):
+            adamw_step(params, grads, state)
+        assert state.t == 2
+        after = ({k: p.data for k, p in params.items()}, state.m, state.v)
+        for old, new in zip(before, after):
+            for key in params:
+                assert old[key].tobytes() == new[key].tobytes(), key
+
+    def test_missing_gradient_named(self):
+        params = scalar_params(1.0)
+        state = AdamWState(params, base_cfg())
+        with pytest.raises(ValueError, match="no gradient for parameter 'theta'"):
+            adamw_step(params, {"theta": None}, state)
+        assert state.t == 0
+        np.testing.assert_array_equal(params["theta"].data, [1.0])
+
+    def test_non_contiguous_parameter_rejected(self):
+        # A flat view of a transposed array would be a copy, so the update
+        # would be lost instead of applied.
+        params = {"w": Tensor(np.ones((3, 4)), requires_grad=True)}
+        state = AdamWState(params, base_cfg())
+        params["w"].data = np.ones((4, 3)).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            adamw_step(params, {"w": np.ones((3, 4))}, state)
+
     def test_zero_gradient_no_decay_leaves_parameters(self):
         params = scalar_params(1.5)
         state = AdamWState(params, base_cfg(weight_decay=0.0))
