@@ -61,12 +61,10 @@ from .evaluation import (
     DriftReport,
     LprmNetPredictor,
     OraclePredictor,
-    PairedSurrogatePredictor,
     RmseReport,
     SetSurrogatePredictor,
     VirtualSensor,
     drift_report,
-    infer_virtual,
     rmse_report,
 )
 from .models import (

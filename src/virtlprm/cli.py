@@ -317,21 +317,13 @@ def cmd_eval(args) -> int:
 def cmd_infer(args) -> int:
     geom = _resolve_geometry(args.geometry)
     bypassed = _parse_bypass_list(args.bypass)
-    model_ab = model_ba = None
-    axis_models = {}
+    parts = []
     for path in args.checkpoint:
-        model = load_checkpoint(path)
-        meta = getattr(model, "training_meta", {}) or {}
-        if isinstance(model, SurrogateNet) and meta.get("input_set") == "A":
-            model_ab = model
-        elif isinstance(model, SurrogateNet) and meta.get("input_set") == "B":
-            model_ba = model
-        elif isinstance(model, SurrogateNet) and "target" in meta:
-            axis_models[DetectorId.parse(meta["target"])] = model
-        else:
+        part = _predictor_for_checkpoint(path, geom)
+        if not isinstance(part, (SetSurrogatePredictor, AxisDetectorPredictor)):
             raise ConfigError(f"checkpoint {path} cannot serve virtual readings")
-    sensor = VirtualSensor(geom, model_ab=model_ab, model_ba=model_ba,
-                           axis_models=axis_models)
+        parts.append(part)
+    sensor = VirtualSensor(geom, parts=parts)
     try:
         sensor.check_coverage(bypassed)  # validate before any output is emitted
     except CoverageError as err:
@@ -340,13 +332,10 @@ def cmd_infer(args) -> int:
     if not Path(args.archive).exists():
         raise ConfigError(f"archive not found: {args.archive}")
     frames = load_archive(args.archive)
-    for frame in frames:
-        result = sensor.infer(frame, bypassed)
-        line = {
-            "timestamp": frame.timestamp,
-            "readings": [float(v) for v in result.readings],
-            "virtual": list(result.virtual),
-        }
+    readings, mask = sensor.infer_frames(frames, bypassed)
+    for frame, row, marked in zip(frames, readings.tolist(), mask):
+        line = {"timestamp": frame.timestamp, "readings": row,
+                "virtual": list(sensor.virtual_codes(marked))}
         sys.stdout.write(json.dumps(line, sort_keys=True) + "\n")
     return EXIT_OK
 

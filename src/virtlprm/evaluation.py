@@ -39,30 +39,19 @@ class OraclePredictor:
                                batch["rv"].transpose(0, 2, 3, 1), tp, geom)
 
 
-class PairedSurrogatePredictor:
-    """Both mirror-set models together: measured readings of each set feed
-    the model of the other, covering the 152 paired detectors."""
+class _ReadingsPredictor:
+    """A predictor whose only inputs are measured readings.
 
-    def __init__(self, model_ab: SurrogateNet, model_ba: SurrogateNet):
-        self.model_ab = model_ab
-        self.model_ba = model_ba
-
-    def covered(self, geom: CoreGeometry) -> np.ndarray:
-        return np.sort(np.concatenate([geom.indices_for_set("A"),
-                                       geom.indices_for_set("B")]))
+    ``predict_readings`` maps an (N, 172) readings matrix to (N, 172)
+    predictions, NaN outside the covered detectors; ``predict`` runs it on
+    the frames' readings, so frame and matrix callers share one path.
+    """
 
     def predict(self, frames, geom: CoreGeometry) -> np.ndarray:
-        frames = list(frames)
-        readings = np.stack([f.readings for f in frames])
-        a_idx = geom.indices_for_set("A")
-        b_idx = geom.indices_for_set("B")
-        out = np.full((len(frames), geom.detector_count), np.nan, dtype=np.float32)
-        out[:, b_idx] = batched_predict(self.model_ab, {"x": readings[:, a_idx]})
-        out[:, a_idx] = batched_predict(self.model_ba, {"x": readings[:, b_idx]})
-        return out
+        return self.predict_readings(np.stack([f.readings for f in frames]), geom)
 
 
-class SetSurrogatePredictor:
+class SetSurrogatePredictor(_ReadingsPredictor):
     """One mirror-set model alone: measured readings of its input set feed
     predictions for the opposite set."""
 
@@ -76,10 +65,8 @@ class SetSurrogatePredictor:
     def covered(self, geom: CoreGeometry) -> np.ndarray:
         return geom.indices_for_set(self.output_set)
 
-    def predict(self, frames, geom: CoreGeometry) -> np.ndarray:
-        frames = list(frames)
-        readings = np.stack([f.readings for f in frames])
-        out = np.full((len(frames), geom.detector_count), np.nan, dtype=np.float32)
+    def predict_readings(self, readings: np.ndarray, geom: CoreGeometry) -> np.ndarray:
+        out = np.full(readings.shape, np.nan, dtype=np.float32)
         x = readings[:, geom.indices_for_set(self.input_set)]
         out[:, geom.indices_for_set(self.output_set)] = batched_predict(self.model, {"x": x})
         return out
@@ -111,7 +98,7 @@ class CompositePredictor:
         return out
 
 
-class AxisDetectorPredictor:
+class AxisDetectorPredictor(_ReadingsPredictor):
     """Per-detector models for the symmetry axis: each predicts its target
     from all other measured readings."""
 
@@ -122,10 +109,8 @@ class AxisDetectorPredictor:
         return np.sort(np.array([geom.detector_index(d) for d in self.models],
                                 dtype=np.intp))
 
-    def predict(self, frames, geom: CoreGeometry) -> np.ndarray:
-        frames = list(frames)
-        readings = np.stack([f.readings for f in frames])
-        out = np.full((len(frames), geom.detector_count), np.nan, dtype=np.float32)
+    def predict_readings(self, readings: np.ndarray, geom: CoreGeometry) -> np.ndarray:
+        out = np.full(readings.shape, np.nan, dtype=np.float32)
         for det, model in self.models.items():
             idx = geom.detector_index(det)
             x = np.delete(readings, idx, axis=1)
@@ -297,65 +282,79 @@ class VirtualReading:
 class VirtualSensor:
     """Serves virtual readings for bypassed detectors from whichever models
     cover them: mirror-set models for the paired sets, per-detector models
-    for the symmetry axis."""
+    for the symmetry axis. ``parts`` adds further readings predictors
+    (``SetSurrogatePredictor``, ``AxisDetectorPredictor``); no two may
+    cover the same detector.
+
+    Bypassed inputs are zeroed before any model runs, so the result does
+    not depend on prior virtual values: re-applying with the same bypass
+    set reproduces the same output.
+    """
 
     def __init__(self, geom: CoreGeometry, model_ab: SurrogateNet | None = None,
                  model_ba: SurrogateNet | None = None,
-                 axis_models: dict[DetectorId, SurrogateNet] | None = None):
+                 axis_models: dict[DetectorId, SurrogateNet] | None = None, parts=()):
         self.geom = geom
-        self.model_ab = model_ab
-        self.model_ba = model_ba
-        self.axis_models = dict(axis_models or {})
+        self.parts = list(parts)
+        if model_ab is not None:
+            self.parts.append(SetSurrogatePredictor(model_ab, "A"))
+        if model_ba is not None:
+            self.parts.append(SetSurrogatePredictor(model_ba, "B"))
+        self.parts += [AxisDetectorPredictor({d: m}) for d, m in (axis_models or {}).items()]
+        self.part_indices = [np.asarray(p.covered(geom), dtype=np.intp) for p in self.parts]
+        self.coverage = np.zeros(geom.detector_count, dtype=bool)
+        if self.parts:
+            self.coverage[CompositePredictor(self.parts).covered(geom)] = True
 
     def check_coverage(self, bypassed) -> None:
         for d in bypassed:
-            set_name = self.geom.set_of_detector(d)
-            if set_name == "A" and self.model_ba is None:
-                raise CoverageError(f"no mirror model covers bypassed detector {d.code}")
-            if set_name == "B" and self.model_ab is None:
-                raise CoverageError(f"no mirror model covers bypassed detector {d.code}")
-            if set_name == "C" and d not in self.axis_models:
-                raise CoverageError(f"no axis model covers bypassed detector {d.code}")
+            if not self.coverage[self.geom.detector_index(d)]:
+                kind = "axis" if self.geom.set_of_detector(d) == "C" else "mirror"
+                raise CoverageError(f"no {kind} model covers bypassed detector {d.code}")
+
+    def infer_frames(self, frames, bypassed) -> tuple[np.ndarray, np.ndarray]:
+        """Virtual readings of many frames at once: the (N, 172) readings
+        with ``bypassed`` and each frame's own bypassed set replaced by
+        predictions, and that (N, 172) bypass mask.
+
+        Each part runs once over all frames, and only if it covers a masked
+        entry. A non-finite reading raises ``DataError`` naming the
+        detector and the timestamp, unless its detector is bypassed.
+        """
+        frames = list(frames)
+        geom = self.geom
+        readings = np.array([f.readings for f in frames], dtype=np.float32).reshape(
+            len(frames), geom.detector_count)
+        mask = np.zeros(readings.shape, dtype=bool)
+        mask[:, [geom.detector_index(d) for d in bypassed]] = True
+        for row, frame in enumerate(frames):
+            mask[row, [geom.detector_index(d) for d in frame.bypassed]] = True
+        self.check_coverage(geom.detectors[i]
+                            for i in np.flatnonzero((mask & ~self.coverage).any(axis=0)))
+        bad = np.argwhere(~np.isfinite(readings) & ~mask)
+        if bad.size:
+            row, col = bad[0]
+            raise DataError(f"non-finite reading {readings[row, col]} from detector "
+                            f"{geom.detectors[col].code} at timestamp {frames[row].timestamp}")
+
+        inputs = np.where(mask, np.float32(0.0), readings)
+        out = inputs.copy()
+        for part, idx in zip(self.parts, self.part_indices):
+            hit = mask[:, idx]
+            if hit.any():
+                pred = part.predict_readings(inputs, geom)[:, idx]
+                out[:, idx] = np.where(hit, pred, out[:, idx])
+        return out, mask
+
+    def virtual_codes(self, mask_row: np.ndarray) -> tuple:
+        """Codes of the detectors one mask row marks, in canonical order."""
+        return tuple(self.geom.detectors[i].code for i in np.flatnonzero(mask_row))
 
     def infer(self, frame: LprmFrame, bypassed) -> VirtualReading:
-        """Measured readings with bypassed entries replaced by predictions.
-
-        Bypassed inputs are zeroed before any model runs, so the result
-        does not depend on prior virtual values: re-applying with the same
-        bypass set reproduces the same output.
-        """
-        bypassed = sorted(set(bypassed) | set(frame.bypassed))
-        self.check_coverage(bypassed)
-        geom = self.geom
-        inputs = frame.readings.copy()
-        for d in bypassed:
-            inputs[geom.detector_index(d)] = 0.0
-
-        out = inputs.copy()
-        by_set = {"A": [], "B": [], "C": []}
-        for d in bypassed:
-            by_set[geom.set_of_detector(d)].append(d)
-
-        if by_set["A"]:
-            pred_a = self.model_ba.forward(inputs[geom.indices_for_set("B")])
-            a_order = {d: i for i, d in enumerate(geom.detectors_in_set("A"))}
-            for d in by_set["A"]:
-                out[geom.detector_index(d)] = pred_a[a_order[d]]
-        if by_set["B"]:
-            pred_b = self.model_ab.forward(inputs[geom.indices_for_set("A")])
-            b_order = {d: i for i, d in enumerate(geom.detectors_in_set("B"))}
-            for d in by_set["B"]:
-                out[geom.detector_index(d)] = pred_b[b_order[d]]
-        for d in by_set["C"]:
-            idx = geom.detector_index(d)
-            x = np.delete(inputs, idx)
-            out[idx] = self.axis_models[d].forward(x)[0]
-
-        return VirtualReading(readings=out, virtual=tuple(d.code for d in bypassed))
-
-
-def infer_virtual(sensor: VirtualSensor, frame: LprmFrame, bypassed) -> VirtualReading:
-    return sensor.infer(frame, bypassed)
+        """Measured readings of one frame with ``bypassed`` and the frame's
+        own bypassed set replaced by predictions."""
+        readings, mask = self.infer_frames([frame], bypassed)
+        return VirtualReading(readings=readings[0], virtual=self.virtual_codes(mask[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -467,7 +467,8 @@ def load_checkpoint(path):
         start = int(entry["offset"])
         if start + count > raw.size:
             raise DataError(f"checkpoint blob too small for entry {entry['key']}")
-        table[entry["key"]] = raw[start:start + count].reshape(shape).copy()
+        # a view into the blob; ``astype`` below makes each entry's one copy
+        table[entry["key"]] = raw[start:start + count].reshape(shape)
         expected += count
     if blob.stat().st_size != raw.itemsize * expected:
         raise DataError(f"checkpoint blob is {blob.stat().st_size} bytes, its entries "

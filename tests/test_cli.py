@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from virtlprm.cli import main
-from virtlprm.coredata import load_archive
+from virtlprm.coredata import DetectorId, default_geometry, load_archive, save_archive
+from virtlprm.evaluation import VirtualSensor
+from virtlprm.models import LprmNet, LprmNetSpec, load_checkpoint, save_checkpoint
 
 ARCHIVE_FILES = ("manifest.json", "np.bin", "rv.bin", "rp.bin", "nbd.bin",
                  "scalars.bin", "readings.bin")
@@ -48,6 +51,19 @@ def trained_run(small_archive, tmp_path_factory):
     assert main(["train", "--config", str(cfg_path)]) == 0
     return {"root": root, "config": config, "config_path": cfg_path,
             "out_dir": root / "run"}
+
+
+@pytest.fixture(scope="module")
+def trained_ba(small_archive, tmp_path_factory):
+    """A set-B-to-set-A checkpoint, so that set-A detectors can be served."""
+    root = tmp_path_factory.mktemp("cli-train-ba")
+    config = {"archive": str(small_archive), "model": "surrogate-ba", "split": "surrogate",
+              "seed": 4, "out_dir": str(root / "run"), "model_config": {"hidden": 16},
+              "train": {"max_lr": 0.005, "epochs": 2, "batch_size": 16}}
+    cfg_path = root / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    return root / "run" / "checkpoint"
 
 
 class TestGen:
@@ -237,6 +253,145 @@ class TestInfer:
                      "--bypass", "7C"])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+
+def write_edited_archive(source, dest, edit):
+    """Copy of an archive with ``edit(index, frame)`` applied to each frame."""
+    frames = [dataclasses.replace(f, readings=f.readings.copy()) for f in load_archive(source)]
+    for i, frame in enumerate(frames):
+        edit(i, frame)
+    save_archive(frames, dest)
+    return dest
+
+
+class TestBatchedInfer:
+    """``infer`` predicts the whole archive at once; the contract is measured
+    entries bit-identical, virtual entries within 1e-6 + 1e-4 |x| of the
+    one-frame path, and byte-identical output run to run."""
+
+    BYPASS = "6A,12B"
+
+    def run_infer(self, capsys, checkpoint, archive, bypass):
+        code = main(["infer", "--checkpoint", str(checkpoint), "--archive", str(archive),
+                     "--bypass", bypass])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_two_runs_byte_identical(self, trained_run, small_archive, capsys):
+        ckpt = trained_run["out_dir"] / "checkpoint"
+        first = self.run_infer(capsys, ckpt, small_archive, self.BYPASS)
+        second = self.run_infer(capsys, ckpt, small_archive, self.BYPASS)
+        assert first[0] == 0
+        assert first[1] and first[1] == second[1]
+
+    def test_agrees_with_per_frame_sensor(self, trained_run, small_archive, capsys):
+        ckpt = trained_run["out_dir"] / "checkpoint"
+        code, out, _ = self.run_infer(capsys, ckpt, small_archive, self.BYPASS)
+        assert code == 0
+        geom = default_geometry()
+        sensor = VirtualSensor(geom, model_ab=load_checkpoint(ckpt))
+        bypassed = [DetectorId.parse(c) for c in self.BYPASS.split(",")]
+        virtual = [geom.detector_index(d) for d in bypassed]
+        measured = np.setdiff1d(np.arange(geom.detector_count), virtual)
+        frames = load_archive(small_archive)
+        lines = out.splitlines()
+        assert len(lines) == len(frames)
+        for frame, line in zip(frames, lines):
+            record = json.loads(line)
+            got = np.array(record["readings"], dtype=np.float32)
+            want = sensor.infer(frame, bypassed)
+            assert record["timestamp"] == frame.timestamp
+            assert record["virtual"] == list(want.virtual)
+            assert np.array_equal(got[measured].view(np.uint32),
+                                  frame.readings[measured].view(np.uint32))
+            ref = want.readings[virtual].astype(np.float64)
+            assert np.all(np.abs(got[virtual] - ref) <= 1e-6 + 1e-4 * np.abs(ref))
+
+    def test_per_frame_bypass_sets(self, trained_run, small_archive, tmp_path, capsys):
+        geom = default_geometry()
+        b_set = geom.detectors_in_set("B")
+        extra = [frozenset(), frozenset({b_set[1]}), frozenset({b_set[2], b_set[9]})]
+
+        def mark(i, frame):
+            frame.bypassed = extra[i % 3]
+            frame.apply_bypass(geom)
+
+        archive = write_edited_archive(small_archive, tmp_path / "marked", mark)
+        ckpt = trained_run["out_dir"] / "checkpoint"
+        code, out, _ = self.run_infer(capsys, ckpt, archive, "6A")
+        assert code == 0
+        sensor = VirtualSensor(geom, model_ab=load_checkpoint(ckpt))
+        frames = load_archive(archive)
+        for i, (frame, line) in enumerate(zip(frames, out.splitlines())):
+            record = json.loads(line)
+            union = {DetectorId.parse("6A")} | extra[i % 3]
+            assert record["virtual"] == [d.code for d in sorted(union)]
+            got = np.array(record["readings"], dtype=np.float32)
+            filled = np.zeros(geom.detector_count, dtype=bool)
+            filled[[geom.detector_index(d) for d in union]] = True
+            assert np.array_equal(got[~filled].view(np.uint32),
+                                  frame.readings[~filled].view(np.uint32))
+            ref = sensor.infer(frame, [DetectorId.parse("6A")]).readings[filled]
+            assert np.all(np.abs(got[filled] - ref) <= 1e-6 + 1e-4 * np.abs(ref))
+            assert np.all(got[filled] != 0.0)
+
+    def test_lprmnet_checkpoint_is_config_error(self, trained_run, small_archive, tmp_path,
+                                                capsys):
+        net = LprmNet(LprmNetSpec(grid=(6, 6), power_channels=5, rod_channels=4,
+                                  conv_channels=4, trunk_hidden=8, trunk_out=4,
+                                  scalar_hidden=4, scalar_out=4, regression_hidden=4), seed=1)
+        save_checkpoint(net, tmp_path / "lprmnet",
+                        training_meta={"selector": "lprmnet:7C", "target": "7C"})
+        code = main(["infer", "--checkpoint", str(trained_run["out_dir"] / "checkpoint"),
+                     "--checkpoint", str(tmp_path / "lprmnet"), "--archive",
+                     str(small_archive), "--bypass", "7C"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "cannot serve virtual readings" in captured.err
+
+    def test_non_finite_reading_is_data_error(self, trained_run, small_archive, tmp_path,
+                                              capsys):
+        geom = default_geometry()
+        target = geom.detector_index(DetectorId.parse("11A"))
+
+        def poison(i, frame):
+            if i == 2:
+                frame.readings[target] = np.nan
+
+        archive = write_edited_archive(small_archive, tmp_path / "nan", poison)
+        stamp = load_archive(archive)[2].timestamp
+        code, out, err = self.run_infer(capsys, trained_run["out_dir"] / "checkpoint",
+                                        archive, self.BYPASS)
+        assert code == 3
+        assert out == ""
+        assert "11A" in err and str(stamp) in err
+
+    def test_non_finite_bypassed_reading_is_zeroed(self, trained_run, trained_ba,
+                                                   small_archive, tmp_path, capsys):
+        # 11A is an input of the set-A model: bypassed, its NaN or inf must
+        # reach no model, so the output equals that of a zero reading.
+        geom = default_geometry()
+        target = geom.detector_index(DetectorId.parse("11A"))
+
+        def poison(i, frame):
+            frame.readings[target] = np.inf if i % 2 else np.nan
+
+        def zero(i, frame):
+            frame.readings[target] = 0.0
+
+        outputs = []
+        for name, edit in (("nan", poison), ("zero", zero)):
+            archive = write_edited_archive(small_archive, tmp_path / name, edit)
+            code = main(["infer", "--archive", str(archive), "--bypass", "11A,12B",
+                         "--checkpoint", str(trained_run["out_dir"] / "checkpoint"),
+                         "--checkpoint", str(trained_ba)])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        rows = np.array([json.loads(line)["readings"] for line in outputs[0].splitlines()])
+        assert rows.shape == (70, geom.detector_count)
+        assert np.all(np.isfinite(rows))
 
 
 class TestReport:

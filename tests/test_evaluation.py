@@ -5,15 +5,15 @@ import pytest
 
 from virtlprm.coredata import DetectorId, LprmFrame
 from virtlprm.evaluation import (
+    CompositePredictor,
     CoverageError,
     DriftReport,
     LprmNetPredictor,
     OraclePredictor,
-    PairedSurrogatePredictor,
     RmseReport,
+    SetSurrogatePredictor,
     VirtualSensor,
     drift_report,
-    infer_virtual,
     rmse_report,
 )
 from virtlprm.models import SurrogateNet, SurrogateSpec, axis_surrogate_spec
@@ -246,11 +246,16 @@ class TestDriftReport:
         assert len(lines) == 173
 
 
+def paired_predictor(model_ab, model_ba):
+    return CompositePredictor([SetSurrogatePredictor(model_ab, "A"),
+                               SetSurrogatePredictor(model_ba, "B")])
+
+
 class TestPairedPredictor:
     def test_covers_paired_sets_only(self, trained_surrogate):
         geom = trained_surrogate["geom"]
         model_ba = SurrogateNet(SurrogateSpec(76, 76, (8,) * 6), seed=1)
-        predictor = PairedSurrogatePredictor(trained_surrogate["model"], model_ba)
+        predictor = paired_predictor(trained_surrogate["model"], model_ba)
         covered = predictor.covered(geom)
         assert covered.size == 152
         c_indices = set(int(i) for i in geom.indices_for_set("C"))
@@ -260,7 +265,7 @@ class TestPairedPredictor:
         geom = trained_surrogate["geom"]
         _, _, test_f = trained_surrogate["splits"]
         model_ba = SurrogateNet(SurrogateSpec(76, 76, (8,) * 6), seed=1)
-        predictor = PairedSurrogatePredictor(trained_surrogate["model"], model_ba)
+        predictor = paired_predictor(trained_surrogate["model"], model_ba)
         report = rmse_report(predictor, test_f, geom)
         assert report.groups["overall"].detector_count == 152
         assert np.isfinite(report.groups["overall"].mean_rmse)

@@ -315,6 +315,25 @@ class TestCheckpoints:
         np.testing.assert_array_equal(again.forward_batch(inputs).data,
                                       net.forward_batch(inputs).data)
 
+    @pytest.mark.parametrize("make", [
+        lambda: SurrogateNet(SurrogateSpec(10, 4, (8,) * 6), seed=15),
+        lambda: LprmNet(small_lprmnet_spec(), seed=16),
+    ])
+    def test_loaded_entries_own_their_memory(self, tmp_path, make):
+        save_checkpoint(make(), tmp_path / "c")
+        again = load_checkpoint(tmp_path / "c")
+        entries = [p.data for p in again.params.values()]
+        entries += [a for s in again.stats.values() for a in (s.mean, s.var)]
+        for arr in entries:
+            assert arr.dtype == np.float32
+            assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
+        for i, a in enumerate(entries):
+            for b in entries[i + 1:]:
+                assert not np.shares_memory(a, b)
+        save_checkpoint(again, tmp_path / "c2")
+        for name in ("params.bin", "manifest.json"):
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "c2" / name).read_bytes()
+
     def test_truncated_blob_rejected(self, tmp_path):
         net = SurrogateNet(SurrogateSpec(4, 2, (3,) * 6), seed=13)
         save_checkpoint(net, tmp_path / "c")
