@@ -44,9 +44,10 @@ class AxialAttentionParams:
             raise ShapeError(f"wv must preserve the channel count, got {self.wv.shape}")
 
     @classmethod
-    def init(cls, channels: int, qk_channels: int | None = None, seed: int = 0,
-             dtype=np.float32) -> "AxialAttentionParams":
-        """Fan-in-scaled uniform initialization; qk width defaults to C/2 (min 1)."""
+    def init(cls, channels: int, qk_channels: int | None = None,
+             seed: int | np.random.Generator = 0, dtype=np.float32) -> "AxialAttentionParams":
+        """Fan-in-scaled uniform initialization; qk width defaults to C/2 (min 1).
+        ``seed`` is an int or a numpy ``Generator`` to draw from."""
         if qk_channels is None:
             qk_channels = max(1, channels // 2)
         rng = np.random.default_rng(seed)
@@ -57,9 +58,6 @@ class AxialAttentionParams:
                           requires_grad=True)
 
         return cls(wq=kernel(qk_channels), wk=kernel(qk_channels), wv=kernel(channels))
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {"wq": self.wq, "wk": self.wk, "wv": self.wv}
 
 
 def _check_axis(axis: str):
@@ -94,14 +92,9 @@ def _from_hwc(x: np.ndarray, axis: str) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(x, -1, -3))
 
 
-def _map_to_jsi(m: np.ndarray, axis: str) -> np.ndarray:
-    """(..., H, W, span) -> (..., J, S, span) matching :func:`_to_hwc`."""
-    if axis == "height":
-        return np.ascontiguousarray(np.swapaxes(m, -3, -2))
-    return m
-
-
-def _map_from_jsi(m: np.ndarray, axis: str) -> np.ndarray:
+def _swap_jsi(m: np.ndarray, axis: str) -> np.ndarray:
+    """(..., H, W, span) <-> (..., J, S, span) matching :func:`_to_hwc`; a
+    swap of the two spatial axes for the height axis, so its own inverse."""
     if axis == "height":
         return np.ascontiguousarray(np.swapaxes(m, -3, -2))
     return m
@@ -121,10 +114,10 @@ def affinity(q: Tensor, k: Tensor, axis: str) -> Tensor:
     _spatial(q)
     qt = _to_hwc(q.data, axis)            # (..., J, S, C)
     kt = _to_hwc(k.data, axis)
-    data = _map_from_jsi(qt @ np.swapaxes(kt, -1, -2), axis)
+    data = _swap_jsi(qt @ np.swapaxes(kt, -1, -2), axis)
 
     def rule(g):
-        gt = _map_to_jsi(g, axis)         # (..., J, S, span)
+        gt = _swap_jsi(g, axis)           # (..., J, S, span)
         gq = _from_hwc(gt @ kt, axis) if q.requires_grad else None
         gk = _from_hwc(np.swapaxes(gt, -1, -2) @ qt, axis) if k.requires_grad else None
         return gq, gk
@@ -153,12 +146,12 @@ def aggregate(m: Tensor, v: Tensor, l: Tensor, axis: str) -> Tensor:
     if m.shape != expected:
         raise ShapeError(f"attention map shape {m.shape} does not match {expected}")
     vt = _to_hwc(v.data, axis)            # (..., J, span, C)
-    mt = _map_to_jsi(m.data, axis)        # (..., J, S, span)
+    mt = _swap_jsi(m.data, axis)          # (..., J, S, span)
     data = _from_hwc(mt @ vt, axis) + l.data
 
     def rule(g):
         gt = _to_hwc(g, axis)             # (..., J, S, C)
-        gm = (_map_from_jsi(gt @ np.swapaxes(vt, -1, -2), axis)
+        gm = (_swap_jsi(gt @ np.swapaxes(vt, -1, -2), axis)
               if m.requires_grad else None)
         gv = (_from_hwc(np.swapaxes(mt, -1, -2) @ gt, axis)
               if v.requires_grad else None)

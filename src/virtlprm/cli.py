@@ -12,9 +12,9 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .coredata import (
     DataError,
@@ -70,23 +70,25 @@ class ConfigError(ValueError):
     """Invalid command-line or experiment configuration."""
 
 
+def _existing(path, what: str):
+    """``path`` itself; a path that does not exist is a ``ConfigError``."""
+    if not Path(path).exists():
+        raise ConfigError(f"{what} not found: {path}")
+    return path
+
+
 def _load_json(path, what: str) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{what} file not found: {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(_existing(path, f"{what} file"), "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # not JSON, or not UTF-8 text
         raise ConfigError(f"{what} file {path} is not valid JSON: {err}") from None
 
 
 def _resolve_geometry(spec):
     if spec in (None, "default"):
         return default_geometry()
-    if not Path(spec).exists():
-        raise ConfigError(f"geometry layout not found: {spec}")
-    return load_geometry(spec)
+    return load_geometry(_existing(spec, "geometry layout"))
 
 
 def _env_seed(seed):
@@ -100,8 +102,6 @@ def _env_seed(seed):
 
 
 def _parse_bypass_list(text: str):
-    if not text:
-        return []
     return [DetectorId.parse(tok) for tok in text.split(",") if tok.strip()]
 
 
@@ -148,6 +148,75 @@ def cmd_gen(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# model roles: the one place a ``model`` selector is read
+
+
+def _detector(code: str, geom, axis: bool = False) -> DetectorId:
+    target = DetectorId.parse(code)
+    geom.detector_index(target)  # a detector outside the layout is a DataError
+    if axis and geom.set_of_detector(target) != "C":
+        raise DataError(f"{target.code} is not on the symmetry axis")
+    return target
+
+
+def _input_set(pair: str, geom) -> str:
+    if pair not in ("ab", "ba"):
+        raise DataError("the mirror-set models are surrogate-ab and surrogate-ba")
+    return pair[0].upper()
+
+
+def _reading_inputs(x, y):
+    return {"x": x}, y
+
+
+@dataclass(frozen=True)
+class _Role:
+    """What a selector's kind decides; its target is what follows the prefix."""
+
+    network: type
+    target: Callable      # (text after the prefix, geom) -> target
+    spec: Callable        # (geom, **model_config) -> spec
+    arrays: Callable      # (frames, geom, target) -> (inputs, targets)
+    predictor: Callable   # (network, target) -> predictor
+    train_defaults: dict  # ``max_lr`` and ``bypass_p`` unless the config sets them
+    center_output: bool   # start the readout at the training-target mean
+    serves_infer: bool
+
+
+_ROLES = {
+    "surrogate-": _Role(
+        SurrogateNet, _input_set, lambda geom, **cfg: paired_surrogate_spec(**cfg),
+        lambda frames, geom, s: _reading_inputs(*surrogate_arrays(frames, geom, s)),
+        SetSurrogatePredictor, train_defaults={"max_lr": 0.005, "bypass_p": 0.2},
+        center_output=False, serves_infer=True),
+    "cset:": _Role(
+        SurrogateNet, lambda code, geom: _detector(code, geom, axis=True),
+        lambda geom, **cfg: axis_surrogate_spec(detector_count=geom.detector_count, **cfg),
+        lambda frames, geom, d: _reading_inputs(*axis_detector_arrays(frames, geom, d)),
+        lambda model, d: AxisDetectorPredictor({d: model}),
+        train_defaults={"max_lr": 0.005, "bypass_p": 0.2}, center_output=False,
+        serves_infer=True),
+    "lprmnet:": _Role(
+        LprmNet, _detector, lambda geom, **cfg: LprmNetSpec(**cfg), lprmnet_arrays,
+        lambda model, d: LprmNetPredictor({d: model}),
+        train_defaults={"max_lr": 0.08, "bypass_p": 0.0}, center_output=True,
+        serves_infer=False),
+}
+
+
+def _parse_selector(selector, geom) -> tuple[_Role, object]:
+    """The role a ``model`` selector names and its target; a bad one is a ``ConfigError``."""
+    for prefix, role in _ROLES.items():
+        if str(selector).startswith(prefix):
+            try:
+                return role, role.target(selector[len(prefix):], geom)
+            except DataError as err:
+                raise ConfigError(f"model selector {selector!r}: {err}") from None
+    raise ConfigError(f"unknown model selector {selector!r}; expected surrogate-ab, "
+                      f"surrogate-ba, cset:<detector> or lprmnet:<detector>")
+
+
+# ---------------------------------------------------------------------------
 # train
 
 
@@ -163,47 +232,10 @@ def _split_frames(frames, split_spec: str, seed: int):
     raise ConfigError(f"unknown split spec {split_spec!r}")
 
 
-def _build_model_and_arrays(selector: str, geom, train_f, val_f, seed: int,
-                            model_config: dict):
-    if selector in ("surrogate-ab", "surrogate-ba"):
-        input_set = "A" if selector == "surrogate-ab" else "B"
-        hidden = int(model_config.get("hidden", 256))
-        model = SurrogateNet(paired_surrogate_spec(hidden), seed=seed)
-        x_tr, y_tr = surrogate_arrays(train_f, geom, input_set)
-        x_va, y_va = surrogate_arrays(val_f, geom, input_set)
-        data = DataSplit({"x": x_tr}, y_tr, {"x": x_va}, y_va)
-        return model, data, {"input_set": input_set}
-    if selector.startswith("cset:"):
-        target = DetectorId.parse(selector.split(":", 1)[1])
-        hidden = int(model_config.get("hidden", 512))
-        model = SurrogateNet(axis_surrogate_spec(hidden, geom.detector_count), seed=seed)
-        x_tr, y_tr = axis_detector_arrays(train_f, geom, target)
-        x_va, y_va = axis_detector_arrays(val_f, geom, target)
-        data = DataSplit({"x": x_tr}, y_tr, {"x": x_va}, y_va)
-        return model, data, {"target": target.code}
-    if selector.startswith("lprmnet:"):
-        target = DetectorId.parse(selector.split(":", 1)[1])
-        spec_kwargs = dict(model_config)
-        if "grid" in spec_kwargs:
-            spec_kwargs["grid"] = tuple(spec_kwargs["grid"])
-        model = LprmNet(LprmNetSpec(**spec_kwargs), seed=seed)
-        in_tr, y_tr = lprmnet_arrays(train_f, geom, target)
-        in_va, y_va = lprmnet_arrays(val_f, geom, target)
-        center_output_bias(model, y_tr)
-        data = DataSplit(in_tr, y_tr, in_va, y_va)
-        return model, data, {"target": target.code}
-    raise ConfigError(f"unknown model selector {selector!r}")
-
-
-def _train_config_from(config: dict, selector: str, seed: int) -> TrainConfig:
-    train_cfg = dict(config.get("train", {}))
-    if "max_lr" not in train_cfg:
-        train_cfg["max_lr"] = 0.08 if selector.startswith("lprmnet") else 0.005
-    if "bypass_p" not in train_cfg:
-        train_cfg["bypass_p"] = 0.0 if selector.startswith("lprmnet") else 0.2
-    train_cfg["seed"] = seed
+def _train_config_from(config: dict, role: _Role, seed: int) -> TrainConfig:
     try:
-        return TrainConfig.from_dict(train_cfg)
+        return TrainConfig.from_dict({**role.train_defaults, **config.get("train", {}),
+                                      "seed": seed})
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad train config: {err}") from None
 
@@ -215,14 +247,18 @@ def cmd_train(args) -> int:
             raise ConfigError(f"experiment config missing required field {required!r}")
     seed = _env_seed(int(config["seed"]))
     geom = _resolve_geometry(config.get("geometry", "default"))
-    if not Path(config["archive"]).exists():
-        raise ConfigError(f"archive not found: {config['archive']}")
+    selector = config["model"]
+    role, target = _parse_selector(selector, geom)
+    try:
+        model = role.network(role.spec(geom, **config.get("model_config", {})), seed=seed)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad model_config for {selector!r}: {err}") from None
+    cfg = _train_config_from(config, role, seed)
 
-    frames = load_archive(config["archive"])
+    frames = load_archive(_existing(config["archive"], "archive"))
     kept = filter_transients(frames, rated_power=float(config.get("rated_power", 1.0)))
     print(f"loaded {len(frames)} frames, {len(kept)} after transient filtering")
 
-    selector = config["model"]
     split_spec = config["split"]
     train_f, val_f, test_f = _split_frames(kept, split_spec, seed)
     print(f"split '{split_spec}': {len(train_f)} train / {len(val_f)} val / "
@@ -232,10 +268,11 @@ def cmd_train(args) -> int:
         in_train = sum(1 for f in train_f if f.cycle_id == cycle)
         print(f"frames from holdout cycle {cycle} in train: {in_train}")
 
-    model, data, extra_meta = _build_model_and_arrays(
-        selector, geom, train_f, val_f, seed, config.get("model_config", {}))
-    cfg = _train_config_from(config, selector, seed)
-    result = train(model, data, cfg)
+    x_tr, y_tr = role.arrays(train_f, geom, target)
+    x_va, y_va = role.arrays(val_f, geom, target)
+    if role.center_output:
+        center_output_bias(model, y_tr)
+    result = train(model, DataSplit(x_tr, y_tr, x_va, y_va), cfg)
 
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -246,7 +283,6 @@ def cmd_train(args) -> int:
         "epochs": cfg.epochs,
         "best_epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,
-        **extra_meta,
     }
     save_checkpoint(model, out_dir / "checkpoint", training_meta=meta)
     history_to_csv(result.history, out_dir / "history.csv")
@@ -259,21 +295,16 @@ def cmd_train(args) -> int:
 # eval / infer / report
 
 
-def _predictor_for_checkpoint(path, geom):
-    model = load_checkpoint(path)
-    meta = getattr(model, "training_meta", {}) or {}
-    selector = meta.get("selector", "")
-    if isinstance(model, LprmNet):
-        target = meta.get("target")
-        if target is None:
-            raise ConfigError(f"checkpoint {path} lacks a target detector in its metadata")
-        return LprmNetPredictor({DetectorId.parse(target): model})
-    if selector.startswith("cset:") or "target" in meta:
-        return AxisDetectorPredictor({DetectorId.parse(meta["target"]): model})
-    input_set = meta.get("input_set")
-    if input_set not in ("A", "B"):
-        raise ConfigError(f"checkpoint {path} lacks an input set in its metadata")
-    return SetSurrogatePredictor(model, input_set)
+def _predictor_for_checkpoint(path, geom, serving: bool = False):
+    """A checkpoint's predictor, in the role its ``training.selector`` names."""
+    model = load_checkpoint(_existing(path, "checkpoint"))
+    selector = model.training_meta.get("selector")
+    if selector is None:
+        raise ConfigError(f"checkpoint {path} names no model selector in its training block")
+    role, target = _parse_selector(selector, geom)
+    if serving and not role.serves_infer:
+        raise ConfigError(f"checkpoint {path} cannot serve virtual readings")
+    return role.predictor(model, target)
 
 
 def _combined_predictor(checkpoints, geom):
@@ -281,16 +312,11 @@ def _combined_predictor(checkpoints, geom):
         return OraclePredictor()
     if "oracle" in checkpoints:
         raise ConfigError("'oracle' cannot be combined with checkpoint paths")
-    parts = [_predictor_for_checkpoint(p, geom) for p in checkpoints]
-    if len(parts) == 1:
-        return parts[0]
-    return CompositePredictor(parts)
+    return CompositePredictor([_predictor_for_checkpoint(p, geom) for p in checkpoints])
 
 
 def _frames_for_eval(args) -> list:
-    if not Path(args.archive).exists():
-        raise ConfigError(f"archive not found: {args.archive}")
-    frames = load_archive(args.archive)
+    frames = load_archive(_existing(args.archive, "archive"))
     kept = filter_transients(frames, rated_power=args.rated_power)
     if args.split == "none":
         return kept
@@ -317,21 +343,14 @@ def cmd_eval(args) -> int:
 def cmd_infer(args) -> int:
     geom = _resolve_geometry(args.geometry)
     bypassed = _parse_bypass_list(args.bypass)
-    parts = []
-    for path in args.checkpoint:
-        part = _predictor_for_checkpoint(path, geom)
-        if not isinstance(part, (SetSurrogatePredictor, AxisDetectorPredictor)):
-            raise ConfigError(f"checkpoint {path} cannot serve virtual readings")
-        parts.append(part)
+    parts = [_predictor_for_checkpoint(path, geom, serving=True) for path in args.checkpoint]
     sensor = VirtualSensor(geom, parts=parts)
     try:
         sensor.check_coverage(bypassed)  # validate before any output is emitted
     except CoverageError as err:
         raise ConfigError(str(err)) from None
 
-    if not Path(args.archive).exists():
-        raise ConfigError(f"archive not found: {args.archive}")
-    frames = load_archive(args.archive)
+    frames = load_archive(_existing(args.archive, "archive"))
     readings, mask = sensor.infer_frames(frames, bypassed)
     for frame, row, marked in zip(frames, readings.tolist(), mask):
         line = {"timestamp": frame.timestamp, "readings": row,
@@ -343,9 +362,7 @@ def cmd_infer(args) -> int:
 def cmd_report(args) -> int:
     geom = _resolve_geometry(args.geometry)
     predictor = _combined_predictor(args.checkpoint, geom)
-    if not Path(args.archive).exists():
-        raise ConfigError(f"archive not found: {args.archive}")
-    frames = load_archive(args.archive)
+    frames = load_archive(_existing(args.archive, "archive"))
     report = drift_report(predictor, frames, geom, threshold=args.threshold)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -474,28 +474,42 @@ def save_archive(frames, path) -> None:
                 fh.write(arr.tobytes())
 
 
+def read_manifest(directory, fmt: str, schema: int) -> dict:
+    """The ``manifest.json`` of an archive or checkpoint directory; a missing,
+    truncated or foreign one is a ``DataError``."""
+    path = Path(directory) / "manifest.json"
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise DataError(f"cannot read {path}: {getattr(err, 'strerror', None) or err}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path} holds no JSON object")
+    for key, want in (("format", fmt), ("schema_version", schema), ("dtype", "f32le")):
+        if manifest.get(key) != want:
+            raise DataError(f"{path}: {key} is {manifest.get(key)!r}, expected {want!r}")
+    return manifest
+
+
+def read_blob(path) -> np.ndarray:
+    """A flat little-endian float32 blob; a missing file is a ``DataError``."""
+    try:
+        return np.fromfile(path, dtype="<f4")
+    except OSError as err:
+        raise DataError(f"cannot read {path}: {err.strerror or err}") from None
+
+
 def load_archive(path) -> list[LprmFrame]:
     """Read an archive directory back into frames, bit-exactly."""
     path = Path(path)
-    manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"no manifest.json under {path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "virtlprm-frames":
-        raise DataError(f"not a frame archive: {manifest_path}")
-    if manifest.get("schema_version") != ARCHIVE_SCHEMA:
-        raise DataError(f"unsupported archive schema {manifest.get('schema_version')}")
-    if manifest.get("dtype") != "f32le":
-        raise DataError(f"unsupported archive dtype {manifest.get('dtype')}")
-
+    manifest = read_manifest(path, "virtlprm-frames", ARCHIVE_SCHEMA)
     count = int(manifest["frame_count"])
     shapes = manifest["shapes"]
     arrays = {}
     for name in ARCHIVE_FIELDS:
         shape = tuple(int(s) for s in shapes[name])
         expected = count * int(np.prod(shape))
-        raw = np.fromfile(path / f"{name}.bin", dtype="<f4")
+        raw = read_blob(path / f"{name}.bin")
         if raw.size != expected:
             raise DataError(f"{name}.bin holds {raw.size} values, expected {expected}")
         arrays[name] = raw.reshape((count,) + shape)

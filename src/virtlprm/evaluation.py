@@ -98,16 +98,20 @@ class CompositePredictor:
         return out
 
 
-class AxisDetectorPredictor(_ReadingsPredictor):
-    """Per-detector models for the symmetry axis: each predicts its target
-    from all other measured readings."""
+class _PerDetectorPredictor:
+    """One model per target detector; covers the detectors it holds."""
 
-    def __init__(self, models: dict[DetectorId, SurrogateNet]):
+    def __init__(self, models: dict[DetectorId, SurrogateNet | LprmNet]):
         self.models = dict(models)
 
     def covered(self, geom: CoreGeometry) -> np.ndarray:
         return np.sort(np.array([geom.detector_index(d) for d in self.models],
                                 dtype=np.intp))
+
+
+class AxisDetectorPredictor(_PerDetectorPredictor, _ReadingsPredictor):
+    """Per-detector models for the symmetry axis: each predicts its target
+    from all other measured readings."""
 
     def predict_readings(self, readings: np.ndarray, geom: CoreGeometry) -> np.ndarray:
         out = np.full(readings.shape, np.nan, dtype=np.float32)
@@ -118,15 +122,8 @@ class AxisDetectorPredictor(_ReadingsPredictor):
         return out
 
 
-class LprmNetPredictor:
-    """Per-detector core-state models; covers the detectors it holds."""
-
-    def __init__(self, models: dict[DetectorId, LprmNet]):
-        self.models = dict(models)
-
-    def covered(self, geom: CoreGeometry) -> np.ndarray:
-        return np.sort(np.array([geom.detector_index(d) for d in self.models],
-                                dtype=np.intp))
+class LprmNetPredictor(_PerDetectorPredictor):
+    """Per-detector models that predict their target from the core state."""
 
     def predict(self, frames, geom: CoreGeometry) -> np.ndarray:
         frames = list(frames)

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import AxialAttentionParams, axial_attention
 from .autodiff import RunningStats, Tensor
-from .coredata import CoreGeometry, CoreState, DataError, DetectorId
+from .coredata import CoreGeometry, CoreState, DataError, DetectorId, read_blob, read_manifest
 
 CHECKPOINT_SCHEMA = 1
 
@@ -94,11 +94,9 @@ class _ParamBuilder:
         self.stats[name] = RunningStats(features, dtype=self.dtype)
 
     def attention(self, name: str, channels: int, qk_channels: int):
-        bound = 1.0 / np.sqrt(channels)
-        for key, c_out in (("wq", qk_channels), ("wk", qk_channels), ("wv", channels)):
-            w = self.rng.uniform(-bound, bound,
-                                 size=(c_out, channels, 1, 1)).astype(self.dtype)
-            self.params[f"{name}.{key}"] = Tensor(w, requires_grad=True)
+        p = AxialAttentionParams.init(channels, qk_channels, seed=self.rng, dtype=self.dtype)
+        for key in ("wq", "wk", "wv"):
+            self.params[f"{name}.{key}"] = getattr(p, key)
 
 
 class _NetworkBase:
@@ -158,6 +156,7 @@ class SurrogateNet(_NetworkBase):
 
     input_keys = ("x",)
     model_type = "surrogate"
+    spec_type = SurrogateSpec
 
     def __init__(self, spec: SurrogateSpec, seed: int, dtype=np.float32):
         self.spec = spec
@@ -193,10 +192,6 @@ class SurrogateNet(_NetworkBase):
             arr = arr[None, :]
         out = self.forward_batch({"x": arr}, mode=mode).data
         return out[0] if single else out
-
-    def spec_dict(self) -> dict:
-        return {"kind": "surrogate", **asdict(self.spec),
-                "hidden_sizes": list(self.spec.hidden_sizes)}
 
 
 @dataclass(frozen=True)
@@ -242,6 +237,7 @@ class LprmNet(_NetworkBase):
 
     input_keys = ("np", "rv", "scalars")
     model_type = "lprmnet"
+    spec_type = LprmNetSpec
 
     def __init__(self, spec: LprmNetSpec, seed: int, dtype=np.float32):
         self.spec = spec
@@ -319,11 +315,6 @@ class LprmNet(_NetworkBase):
         """Predicted reading for one core state."""
         inputs = {k: v[None] for k, v in corestate_inputs(state).items()}
         return float(self.forward_batch(inputs, mode=mode).data[0, 0])
-
-    def spec_dict(self) -> dict:
-        d = asdict(self.spec)
-        d["grid"] = list(self.spec.grid)
-        return {"kind": "lprmnet", **d}
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +406,7 @@ def save_checkpoint(model: _NetworkBase, path, training_meta: dict | None = None
         "schema_version": CHECKPOINT_SCHEMA,
         "dtype": "f32le",
         "model_type": model.model_type,
-        "spec": model.spec_dict(),
+        "spec": {"kind": model.model_type, **asdict(model.spec)},
         "seed": model.seed,
         "training": training_meta or {},
         "entries": entries,
@@ -428,37 +419,23 @@ def save_checkpoint(model: _NetworkBase, path, training_meta: dict | None = None
             fh.write(blob.tobytes())
 
 
-def _spec_from_dict(spec: dict):
-    kind = spec.get("kind")
-    fields = {k: v for k, v in spec.items() if k != "kind"}
-    if kind == "surrogate":
-        fields["hidden_sizes"] = tuple(fields["hidden_sizes"])
-        return SurrogateSpec(**fields)
-    if kind == "lprmnet":
-        fields["grid"] = tuple(fields["grid"])
-        return LprmNetSpec(**fields)
-    raise DataError(f"unknown model spec kind {kind!r}")
+# checkpoint families by ``model_type``; ``spec.kind`` restates it for readers
+_FAMILIES = {net.model_type: net for net in (SurrogateNet, LprmNet)}
 
 
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint directory, bit-exactly."""
     path = Path(path)
-    with open(path / "manifest.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "virtlprm-checkpoint":
-        raise DataError(f"not a model checkpoint: {path}")
-    if manifest.get("schema_version") != CHECKPOINT_SCHEMA:
-        raise DataError(f"unsupported checkpoint schema {manifest.get('schema_version')}")
-    spec = _spec_from_dict(manifest["spec"])
-    if manifest["model_type"] == "surrogate":
-        model = SurrogateNet(spec, seed=manifest["seed"])
-    elif manifest["model_type"] == "lprmnet":
-        model = LprmNet(spec, seed=manifest["seed"])
-    else:
-        raise DataError(f"unknown model type {manifest['model_type']!r}")
+    manifest = read_manifest(path, "virtlprm-checkpoint", CHECKPOINT_SCHEMA)
+    try:
+        network = _FAMILIES[manifest["model_type"]]
+        spec = network.spec_type(**{k: v for k, v in manifest["spec"].items() if k != "kind"})
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataError(f"checkpoint {path} has no valid model type and spec: {err!r}") from None
+    model = network(spec, seed=manifest["seed"])
 
     blob = path / "params.bin"
-    raw = np.fromfile(blob, dtype="<f4")
+    raw = read_blob(blob)
     table = {}
     expected = 0
     for entry in manifest["entries"]:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 import subprocess
 import sys
 
@@ -13,6 +14,23 @@ from virtlprm.models import LprmNet, LprmNetSpec, load_checkpoint, save_checkpoi
 
 ARCHIVE_FILES = ("manifest.json", "np.bin", "rv.bin", "rp.bin", "nbd.bin",
                  "scalars.bin", "readings.bin")
+SMALL_LPRMNET = {"conv_channels": 2, "trunk_hidden": 8, "trunk_out": 4,
+                 "scalar_hidden": 4, "scalar_out": 4, "regression_hidden": 4}
+
+
+def train_config(path, archive, model, model_config=None):
+    """Write a one-epoch experiment config for ``model`` and return its path."""
+    config = {"archive": str(archive), "model": model, "split": "surrogate", "seed": 3,
+              "out_dir": str(path.parent / "run"), "model_config": model_config or {},
+              "train": {"epochs": 1, "batch_size": 16}}
+    path.write_text(json.dumps(config))
+    return path
+
+
+def fail_on_archive_read(monkeypatch):
+    def refuse(path):
+        pytest.fail(f"the archive {path} was read")
+    monkeypatch.setattr("virtlprm.cli.load_archive", refuse)
 
 
 def write_gen_config(path, cycles):
@@ -97,6 +115,12 @@ class TestGen:
         assert main(["gen", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "a")]) == 2
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "g.json"
+        cfg.write_bytes(b"\xff\xfe{")
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg = write_gen_config(tmp_path / "g.json",
                                [{"cycle_id": 1, "frame_count": 4, "seed": 1}])
@@ -176,6 +200,53 @@ class TestTrain:
         }))
         assert main(["train", "--config", str(cfg_path)]) == 3
 
+    @pytest.mark.parametrize("fault", ["missing rp.bin", "truncated manifest"])
+    @pytest.mark.parametrize("command", ["train", "infer", "report"])
+    def test_unreadable_archive_is_data_error(self, small_archive, trained_run, tmp_path,
+                                              capsys, fault, command):
+        bad = tmp_path / "bad"
+        shutil.copytree(small_archive, bad)
+        if fault == "missing rp.bin":
+            (bad / "rp.bin").unlink()
+        else:
+            text = (bad / "manifest.json").read_text()
+            (bad / "manifest.json").write_text(text[:len(text) // 2])
+        argv = {
+            "train": ["train", "--config",
+                      str(train_config(tmp_path / "exp.json", bad, "surrogate-ab"))],
+            "infer": ["infer", "--checkpoint", str(trained_run["out_dir"] / "checkpoint"),
+                      "--archive", str(bad)],
+            "report": ["report", "--checkpoint", "oracle", "--archive", str(bad),
+                       "--out", str(tmp_path / "rep")],
+        }[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "data error" in captured.err
+
+    @pytest.mark.parametrize("selector", ["cset:99Z", "cset:1A", "lprmnet:1Q"])
+    def test_bad_selector_is_config_error_before_reading(self, small_archive, tmp_path,
+                                                         monkeypatch, capsys, selector):
+        fail_on_archive_read(monkeypatch)
+        cfg = train_config(tmp_path / "exp.json", small_archive, selector)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert selector in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("selector, model_config", [
+        ("lprmnet:1A", {"conv_chanels": 4}),
+        ("surrogate-ab", {"hiden": 8}),
+        ("cset:7A", {"hidden": 8, "depth": 3}),
+    ], ids=["lprmnet:1A", "surrogate-ab", "cset:7A"])
+    def test_unknown_model_config_key_is_config_error(self, small_archive, tmp_path,
+                                                      monkeypatch, capsys, selector,
+                                                      model_config):
+        fail_on_archive_read(monkeypatch)
+        cfg = train_config(tmp_path / "exp.json", small_archive, selector, model_config)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "model_config" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_divergence_exit_code(self, small_archive, tmp_path):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({
@@ -213,12 +284,74 @@ class TestEval:
         for f in ("report.csv", "report.json"):
             assert (tmp_path / "r1" / f).read_bytes() == (tmp_path / "r2" / f).read_bytes()
 
-    def test_trained_checkpoint_covers_one_set(self, trained_run, small_archive, tmp_path):
-        ckpt = str(trained_run["out_dir"] / "checkpoint")
-        main(["eval", "--checkpoint", ckpt, "--archive", str(small_archive),
-              "--out", str(tmp_path / "rep"), "--seed", "3"])
+    @pytest.mark.parametrize("selector, model_config, covers", [
+        ("surrogate-ab", {"hidden": 16}, "B"),
+        ("surrogate-ba", {"hidden": 16}, "A"),
+        ("cset:7A", {"hidden": 16}, {"7A"}),
+        ("lprmnet:1A", SMALL_LPRMNET, {"1A"}),
+    ], ids=["surrogate-ab", "surrogate-ba", "cset:7A", "lprmnet:1A"])
+    def test_trained_checkpoint_covers_one_set(self, small_archive, tmp_path, selector,
+                                               model_config, covers):
+        cfg = train_config(tmp_path / "exp.json", small_archive, selector, model_config)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "checkpoint"
+        training = json.loads((ckpt / "manifest.json").read_text())["training"]
+        assert training["selector"] == selector
+        assert "input_set" not in training and "target" not in training
+        assert main(["eval", "--checkpoint", str(ckpt), "--archive", str(small_archive),
+                     "--out", str(tmp_path / "rep"), "--seed", "3"]) == 0
         report = json.loads((tmp_path / "rep" / "report.json").read_text())
-        assert report["groups"]["overall"]["detector_count"] == 76
+        if isinstance(covers, str):
+            covers = {d.code for d in default_geometry().detectors_in_set(covers)}
+            assert len(covers) == 76
+        assert set(report["per_detector"]) == covers
+        assert report["groups"]["overall"]["detector_count"] == len(covers)
+
+
+def checkpoint_copy(source, dest, edit):
+    """Copy of a checkpoint directory with ``edit(dest)`` applied to it."""
+    shutil.copytree(source, dest)
+    edit(dest)
+    return dest
+
+
+def drop_selector(ckpt):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    del manifest["training"]["selector"]
+    manifest["training"]["input_set"] = "A"  # only the selector may name the role
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def truncate_manifest(ckpt):
+    text = (ckpt / "manifest.json").read_text()
+    (ckpt / "manifest.json").write_text(text[:len(text) // 2])
+
+
+class TestUnreadableCheckpoint:
+    """Every faulty checkpoint ends in a classified exit, not a traceback."""
+
+    FAULTS = {
+        "missing directory": (lambda ckpt: shutil.rmtree(ckpt), 2, "checkpoint not found"),
+        "no selector": (drop_selector, 2, "selector"),
+        "missing params.bin": (lambda ckpt: (ckpt / "params.bin").unlink(), 3, "params.bin"),
+        "truncated manifest": (truncate_manifest, 3, "manifest.json"),
+        "non-JSON manifest": (lambda ckpt: (ckpt / "manifest.json").write_bytes(b"\x00\xff"),
+                              3, "manifest.json"),
+    }
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_classified_exit(self, trained_run, small_archive, tmp_path, capsys, fault,
+                             command):
+        edit, code, words = self.FAULTS[fault]
+        ckpt = checkpoint_copy(trained_run["out_dir"] / "checkpoint", tmp_path / "ckpt", edit)
+        argv = [command, "--checkpoint", str(ckpt), "--archive", str(small_archive)]
+        if command == "eval":
+            argv += ["--out", str(tmp_path / "rep")]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert words in captured.err
 
 
 class TestInfer:
