@@ -419,19 +419,17 @@ def softmax(v: Tensor, axis: int = -1) -> Tensor:
 
 
 class RunningStats:
-    """Exponential-moving-average mean/variance buffers for one batch-norm layer."""
+    """Exponential-moving-average mean/variance buffers for one batch-norm layer.
+
+    ``batch_norm`` updates both in place. A network declares them in its
+    state layout, and its ``snapshot`` copies them with the parameters.
+    """
 
     __slots__ = ("mean", "var")
 
     def __init__(self, num_features: int, dtype=DEFAULT_DTYPE):
         self.mean = np.zeros(num_features, dtype=dtype)
         self.var = np.ones(num_features, dtype=dtype)
-
-    def copy(self) -> "RunningStats":
-        out = RunningStats.__new__(RunningStats)
-        out.mean = self.mean.copy()
-        out.var = self.var.copy()
-        return out
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,

@@ -379,12 +379,14 @@ def split_surrogate(frames, seed: int):
 
 
 def split_holdout_cycle(frames, holdout_cycle: int, seed: int):
-    """Train on every other cycle; split the held-out cycle 50/50 val/test."""
+    """Train on every other cycle; split the held-out cycle 50/50 val/test,
+    which needs at least 2 held-out frames."""
     frames = list(frames)
     holdout = [f for f in frames if f.cycle_id == holdout_cycle]
     train = [f for f in frames if f.cycle_id != holdout_cycle]
-    if not holdout:
-        raise DataError(f"holdout cycle {holdout_cycle} has no frames")
+    if len(holdout) < 2:
+        raise DataError(f"holdout cycle {holdout_cycle} has {len(holdout)} frame(s); "
+                        f"a validation and a test split need at least 2")
     if not train:
         raise DataError("no frames outside the holdout cycle")
     order = np.random.default_rng(seed).permutation(len(holdout))
@@ -474,9 +476,17 @@ def save_archive(frames, path) -> None:
                 fh.write(arr.tobytes())
 
 
+# the keys each manifest format must hold beyond its format, schema and dtype
+_MANIFEST_KEYS = {
+    "virtlprm-frames": ("frame_count", "shapes", "frames"),
+    "virtlprm-checkpoint": ("model_type", "spec", "seed", "entries"),
+}
+
+
 def read_manifest(directory, fmt: str, schema: int) -> dict:
     """The ``manifest.json`` of an archive or checkpoint directory; a missing,
-    truncated or foreign one is a ``DataError``."""
+    truncated or foreign one, or one without a key its format requires, is a
+    ``DataError``."""
     path = Path(directory) / "manifest.json"
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -488,6 +498,9 @@ def read_manifest(directory, fmt: str, schema: int) -> dict:
     for key, want in (("format", fmt), ("schema_version", schema), ("dtype", "f32le")):
         if manifest.get(key) != want:
             raise DataError(f"{path}: {key} is {manifest.get(key)!r}, expected {want!r}")
+    missing = [key for key in _MANIFEST_KEYS[fmt] if key not in manifest]
+    if missing:
+        raise DataError(f"{path} lacks required key(s) {', '.join(missing)}")
     return manifest
 
 

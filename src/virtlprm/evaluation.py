@@ -33,10 +33,9 @@ class OraclePredictor:
 
     def predict(self, frames, geom: CoreGeometry) -> np.ndarray:
         frames = list(frames)
-        batch = corestate_batch(frames)
         tp = np.array([f.state.thermal_power for f in frames], dtype=np.float32)
-        return oracle_readings(batch["np"].transpose(0, 2, 3, 1),
-                               batch["rv"].transpose(0, 2, 3, 1), tp, geom)
+        return oracle_readings(np.stack([f.state.nodal_power for f in frames]),
+                               np.stack([f.state.rod_variable for f in frames]), tp, geom)
 
 
 class _ReadingsPredictor:

@@ -19,7 +19,8 @@ spec dataclasses; they are pinned for reproducibility, not tuned.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,47 +64,71 @@ def axis_surrogate_spec(hidden: int = 512, detector_count: int = 172) -> Surroga
                          hidden_sizes=(hidden,) * 6)
 
 
-class _ParamBuilder:
-    """Registers parameters in a fixed order from one seeded rng."""
+# A network's state entry. init: ("uniform", b) draws from [-b, b), ("constant", v) fills v.
+# stat: None for a parameter, else the batch-norm layer and buffer, e.g. ("bn1", "mean").
+_Entry = namedtuple("_Entry", "key shape init stat", defaults=(None,))
 
-    def __init__(self, seed: int, dtype):
-        self.rng = np.random.default_rng(seed)
-        self.dtype = dtype
-        self.params: dict[str, Tensor] = {}
-        self.stats: dict[str, RunningStats] = {}
 
-    def linear(self, name: str, fan_in: int, fan_out: int):
-        bound = 1.0 / np.sqrt(fan_in)
-        w = self.rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(self.dtype)
-        self.params[f"{name}.weight"] = Tensor(w, requires_grad=True)
-        self.params[f"{name}.bias"] = Tensor(np.zeros(fan_out, dtype=self.dtype),
-                                             requires_grad=True)
+def _linear(name: str, fan_in: int, fan_out: int) -> list[_Entry]:
+    return [_Entry(f"{name}.weight", (fan_in, fan_out), ("uniform", 1.0 / np.sqrt(fan_in))),
+            _Entry(f"{name}.bias", (fan_out,), ("constant", 0.0))]
 
-    def conv(self, name: str, c_in: int, c_out: int, k: int):
-        bound = 1.0 / np.sqrt(c_in * k * k)
-        w = self.rng.uniform(-bound, bound, size=(c_out, c_in, k, k)).astype(self.dtype)
-        self.params[f"{name}.kernel"] = Tensor(w, requires_grad=True)
-        self.params[f"{name}.bias"] = Tensor(np.zeros(c_out, dtype=self.dtype),
-                                             requires_grad=True)
 
-    def norm(self, name: str, features: int):
-        self.params[f"{name}.gamma"] = Tensor(np.ones(features, dtype=self.dtype),
-                                              requires_grad=True)
-        self.params[f"{name}.beta"] = Tensor(np.zeros(features, dtype=self.dtype),
-                                             requires_grad=True)
-        self.stats[name] = RunningStats(features, dtype=self.dtype)
+def _conv(name: str, c_in: int, c_out: int, k: int) -> list[_Entry]:
+    return [_Entry(f"{name}.kernel", (c_out, c_in, k, k), ("uniform", 1.0 / np.sqrt(c_in * k * k))),
+            _Entry(f"{name}.bias", (c_out,), ("constant", 0.0))]
 
-    def attention(self, name: str, channels: int, qk_channels: int):
-        p = AxialAttentionParams.init(channels, qk_channels, seed=self.rng, dtype=self.dtype)
-        for key in ("wq", "wk", "wv"):
-            self.params[f"{name}.{key}"] = getattr(p, key)
+
+def _norm(name: str, features: int, stats: list) -> list[_Entry]:
+    """Scale and shift; the running statistics go to ``stats``, after every parameter."""
+    stats += [_Entry(f"{name}.running_mean", (features,), ("constant", 0.0), (name, "mean")),
+              _Entry(f"{name}.running_var", (features,), ("constant", 1.0), (name, "var"))]
+    return [_Entry(f"{name}.gamma", (features,), ("constant", 1.0)),
+            _Entry(f"{name}.beta", (features,), ("constant", 0.0))]
+
+
+def _attention(name: str, channels: int, qk_channels: int) -> list[_Entry]:
+    """The 1x1 projections of ``AxialAttentionParams.init``, in its draw order."""
+    init = ("uniform", 1.0 / np.sqrt(channels))
+    return [_Entry(f"{name}.{w}", (c_out, channels, 1, 1), init)
+            for w, c_out in (("wq", qk_channels), ("wk", qk_channels), ("wv", channels))]
 
 
 class _NetworkBase:
-    """Parameter-dict model with snapshotting and gradient bookkeeping."""
+    """Model whose state entries, in checkpoint order, its ``layout(spec)``
+    declares; ``params`` and ``stats`` hold them for the forward pass."""
 
     params: dict[str, Tensor]
     stats: dict[str, RunningStats]
+
+    def __init__(self, spec, seed: int, dtype=np.float32):
+        """Seeded initial state: one generator draws the uniform entries in order."""
+        rng = np.random.default_rng(seed)
+        draws = {key: rng.uniform(-x, x, size=shape) if how == "uniform" else np.full(shape, x)
+                 for key, shape, (how, x), _ in self.layout(spec)}
+        self._construct(spec, seed, draws, dtype)
+
+    def _construct(self, spec, seed: int, table: dict, dtype=np.float32):
+        """Copy each layout entry from ``table`` once, in ``dtype``: drawn or loaded."""
+        self.spec = spec
+        self.seed = int(seed)
+        self.params, self.stats = {}, {}
+        for e in self.layout(spec):
+            if e.stat is None:
+                self.params[e.key] = Tensor(table[e.key], requires_grad=True, dtype=dtype)
+                continue
+            norm, buffer = e.stat
+            if norm not in self.stats:
+                self.stats[norm] = RunningStats.__new__(RunningStats)
+            setattr(self.stats[norm], buffer, np.array(table[e.key], dtype=dtype))
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Every state entry's array (the model's own, not a copy) by key, in
+        checkpoint order: the parameters, then the running statistics."""
+        state = {k: t.data for k, t in self.params.items()}
+        for name, s in self.stats.items():
+            state.update({f"{name}.running_mean": s.mean, f"{name}.running_var": s.var})
+        return state
 
     def parameter_count(self) -> int:
         return sum(t.size for t in self.params.values())
@@ -115,28 +140,19 @@ class _NetworkBase:
             t.grad = None
 
     def snapshot(self, into: dict | None = None) -> dict:
-        """Copy of the parameters and running statistics; with ``into``, an
-        earlier snapshot of this model is overwritten instead of allocating."""
+        """Copy of every state entry by key; with ``into``, an earlier
+        snapshot of this model is overwritten instead of allocating."""
         if into is None:
-            return {
-                "params": {k: t.data.copy() for k, t in self.params.items()},
-                "stats": {k: s.copy() for k, s in self.stats.items()},
-            }
-        for k, t in self.params.items():
-            np.copyto(into["params"][k], t.data)
-        for k, s in self.stats.items():
-            np.copyto(into["stats"][k].mean, s.mean)
-            np.copyto(into["stats"][k].var, s.var)
+            return {k: arr.copy() for k, arr in self.state().items()}
+        for k, arr in self.state().items():
+            np.copyto(into[k], arr)
         return into
 
     def restore(self, snap: dict):
-        for k, t in self.params.items():
-            t.data = snap["params"][k].copy()
-            t.grad = None
-        for k, s in self.stats.items():
-            saved = snap["stats"][k]
-            s.mean = saved.mean.copy()
-            s.var = saved.var.copy()
+        """Copy a snapshot back into the model's arrays; gradients are cleared."""
+        for k, arr in self.state().items():
+            np.copyto(arr, snap[k])
+        self.zero_grads()
 
     def _norm_layer(self, name: str, x: Tensor, mode: str, conv: bool) -> Tensor:
         fn = ad.batch_norm2d if conv else ad.batch_norm
@@ -154,23 +170,20 @@ class _NetworkBase:
 class SurrogateNet(_NetworkBase):
     """Six batch-normalized GELU layers and a linear readout."""
 
-    input_keys = ("x",)
     model_type = "surrogate"
     spec_type = SurrogateSpec
 
-    def __init__(self, spec: SurrogateSpec, seed: int, dtype=np.float32):
-        self.spec = spec
-        self.seed = int(seed)
-        builder = _ParamBuilder(seed, dtype)
+    @staticmethod
+    def layout(spec: SurrogateSpec) -> list[_Entry]:
+        """Every state entry, in checkpoint order."""
+        entries, stats = [], []
         fan_in = spec.input_size
         for i, width in enumerate(spec.hidden_sizes, start=1):
-            builder.linear(f"fc{i}", fan_in, width)
+            entries += _linear(f"fc{i}", fan_in, width)
             if spec.use_batch_norm:
-                builder.norm(f"bn{i}", width)
+                entries += _norm(f"bn{i}", width, stats)
             fan_in = width
-        builder.linear("out", fan_in, spec.output_size)
-        self.params = builder.params
-        self.stats = builder.stats
+        return entries + _linear("out", fan_in, spec.output_size) + stats
 
     def forward_batch(self, inputs: dict, mode: str = "eval") -> Tensor:
         x = inputs["x"]
@@ -235,36 +248,27 @@ class LprmNetSpec:
 class LprmNet(_NetworkBase):
     """Dual conv branches, axial attention, trunk, scalar branch, regression."""
 
-    input_keys = ("np", "rv", "scalars")
     model_type = "lprmnet"
     spec_type = LprmNetSpec
 
-    def __init__(self, spec: LprmNetSpec, seed: int, dtype=np.float32):
-        self.spec = spec
-        self.seed = int(seed)
-        b = _ParamBuilder(seed, dtype)
-        k = spec.kernel_size
-        cc = spec.conv_channels
+    @staticmethod
+    def layout(spec: LprmNetSpec) -> list[_Entry]:
+        """Every state entry, in checkpoint order."""
+        k, cc, qk = spec.kernel_size, spec.conv_channels, spec.attention_qk
+        entries, stats = [], []
         for branch, c_in in (("np", spec.power_channels), ("rv", spec.rod_channels)):
-            b.conv(f"{branch}1", c_in, cc, k)
-            b.norm(f"{branch}1.bn", cc)
-            b.conv(f"{branch}2", cc, cc, k)
-            b.norm(f"{branch}2.bn", cc)
-        b.attention("att.h", spec.stacked_channels, spec.attention_qk)
-        b.attention("att.w", spec.stacked_channels, spec.attention_qk)
-        b.linear("trunk1", spec.flat_size, spec.trunk_hidden)
-        b.norm("trunk1.bn", spec.trunk_hidden)
-        b.linear("trunk2", spec.trunk_hidden, spec.trunk_out)
-        b.norm("trunk2.bn", spec.trunk_out)
-        b.linear("scal1", spec.scalar_count, spec.scalar_hidden)
-        b.norm("scal1.bn", spec.scalar_hidden)
-        b.linear("scal2", spec.scalar_hidden, spec.scalar_out)
-        b.norm("scal2.bn", spec.scalar_out)
-        b.linear("reg1", spec.trunk_out + spec.scalar_out, spec.regression_hidden)
-        b.norm("reg1.bn", spec.regression_hidden)
-        b.linear("out", spec.regression_hidden, 1)
-        self.params = b.params
-        self.stats = b.stats
+            entries += _conv(f"{branch}1", c_in, cc, k) + _norm(f"{branch}1.bn", cc, stats)
+            entries += _conv(f"{branch}2", cc, cc, k) + _norm(f"{branch}2.bn", cc, stats)
+        entries += _attention("att.h", spec.stacked_channels, qk)
+        entries += _attention("att.w", spec.stacked_channels, qk)
+        for name, fan_in, fan_out in (
+                ("trunk1", spec.flat_size, spec.trunk_hidden),
+                ("trunk2", spec.trunk_hidden, spec.trunk_out),
+                ("scal1", spec.scalar_count, spec.scalar_hidden),
+                ("scal2", spec.scalar_hidden, spec.scalar_out),
+                ("reg1", spec.trunk_out + spec.scalar_out, spec.regression_hidden)):
+            entries += _linear(name, fan_in, fan_out) + _norm(f"{name}.bn", fan_out, stats)
+        return entries + _linear("out", spec.regression_hidden, 1) + stats
 
     def _attention_params(self, name: str) -> AxialAttentionParams:
         return AxialAttentionParams(wq=self.params[f"{name}.wq"],
@@ -381,24 +385,16 @@ def center_output_bias(model: _NetworkBase, targets: np.ndarray) -> None:
 # checkpoints: manifest.json + one flat little-endian float32 blob
 
 
-def _state_entries(model: _NetworkBase):
-    for key, tensor in model.params.items():
-        yield key, "param", tensor.data
-    for key, stats in model.stats.items():
-        yield f"{key}.running_mean", "buffer", stats.mean
-        yield f"{key}.running_var", "buffer", stats.var
-
-
 def save_checkpoint(model: _NetworkBase, path, training_meta: dict | None = None) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     entries = []
     offset = 0
     blobs = []
-    for key, kind, arr in _state_entries(model):
+    for key, arr in model.state().items():
         flat = np.ascontiguousarray(arr, dtype="<f4")
-        entries.append({"key": key, "kind": kind, "shape": list(arr.shape),
-                        "offset": offset})
+        entries.append({"key": key, "kind": "param" if key in model.params else "buffer",
+                        "shape": list(arr.shape), "offset": offset})
         offset += flat.size
         blobs.append(flat)
     manifest = {
@@ -424,15 +420,17 @@ _FAMILIES = {net.model_type: net for net in (SurrogateNet, LprmNet)}
 
 
 def load_checkpoint(path):
-    """Rebuild a model from a checkpoint directory, bit-exactly."""
+    """Rebuild a model from a checkpoint directory, bit-exactly: each entry
+    of its network's layout is read from the blob, checked and copied once;
+    nothing is drawn."""
     path = Path(path)
     manifest = read_manifest(path, "virtlprm-checkpoint", CHECKPOINT_SCHEMA)
     try:
         network = _FAMILIES[manifest["model_type"]]
         spec = network.spec_type(**{k: v for k, v in manifest["spec"].items() if k != "kind"})
-    except (KeyError, TypeError, ValueError) as err:
-        raise DataError(f"checkpoint {path} has no valid model type and spec: {err!r}") from None
-    model = network(spec, seed=manifest["seed"])
+        seed = int(manifest["seed"])
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise DataError(f"checkpoint {path}: bad model type, spec or seed: {err!r}") from None
 
     blob = path / "params.bin"
     raw = read_blob(blob)
@@ -444,23 +442,23 @@ def load_checkpoint(path):
         start = int(entry["offset"])
         if start + count > raw.size:
             raise DataError(f"checkpoint blob too small for entry {entry['key']}")
-        # a view into the blob; ``astype`` below makes each entry's one copy
+        # a view into the blob; the model's constructor makes each entry's one copy
         table[entry["key"]] = raw[start:start + count].reshape(shape)
         expected += count
     if blob.stat().st_size != raw.itemsize * expected:
         raise DataError(f"checkpoint blob is {blob.stat().st_size} bytes, its entries "
                         f"account for {raw.itemsize * expected}")
 
-    for key, kind, arr in _state_entries(model):
-        if key not in table:
-            raise DataError(f"checkpoint missing entry {key}")
-        if table[key].shape != arr.shape:
-            raise DataError(f"checkpoint entry {key} has shape {table[key].shape}, "
-                            f"expected {arr.shape}")
-    for key, tensor in model.params.items():
-        tensor.data = table[key].astype(np.float32)
-    for key, stats in model.stats.items():
-        stats.mean = table[f"{key}.running_mean"].astype(np.float32)
-        stats.var = table[f"{key}.running_var"].astype(np.float32)
+    for e in network.layout(spec):
+        arr = table.get(e.key)
+        if arr is None:
+            raise DataError(f"checkpoint missing entry {e.key}")
+        if arr.shape != e.shape:
+            raise DataError(f"checkpoint entry {e.key} has shape {arr.shape}, "
+                            f"expected {e.shape}")
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # NaN or inf shows here
+            raise DataError(f"checkpoint entry {e.key} holds non-finite values")
+    model = network.__new__(network)
+    model._construct(spec, seed, table)
     model.training_meta = manifest.get("training", {})
     return model

@@ -173,6 +173,20 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "frames from holdout cycle 2 in train: 0" in out
 
+    def test_holdout_cycle_too_small_to_split_is_data_error(self, tmp_path, capsys):
+        gen = write_gen_config(tmp_path / "gen.json", [
+            {"cycle_id": 1, "frame_count": 30, "seed": 11},
+            {"cycle_id": 2, "frame_count": 1, "seed": 11},
+        ])
+        assert main(["gen", "--config", str(gen), "--out", str(tmp_path / "a")]) == 0
+        cfg = train_config(tmp_path / "exp.json", tmp_path / "a", "surrogate-ab")
+        config = json.loads(cfg.read_text())
+        config["split"] = "holdout:2"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "holdout cycle 2 has 1 frame(s)" in capsys.readouterr().err
+
     def test_missing_field_is_config_error(self, small_archive, tmp_path, capsys):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({"archive": str(small_archive)}))
@@ -200,7 +214,8 @@ class TestTrain:
         }))
         assert main(["train", "--config", str(cfg_path)]) == 3
 
-    @pytest.mark.parametrize("fault", ["missing rp.bin", "truncated manifest"])
+    @pytest.mark.parametrize("fault", ["missing rp.bin", "truncated manifest", "no frame_count",
+                                       "no shapes", "no frames"])
     @pytest.mark.parametrize("command", ["train", "infer", "report"])
     def test_unreadable_archive_is_data_error(self, small_archive, trained_run, tmp_path,
                                               capsys, fault, command):
@@ -208,9 +223,10 @@ class TestTrain:
         shutil.copytree(small_archive, bad)
         if fault == "missing rp.bin":
             (bad / "rp.bin").unlink()
+        elif fault == "truncated manifest":
+            truncate_manifest(bad)
         else:
-            text = (bad / "manifest.json").read_text()
-            (bad / "manifest.json").write_text(text[:len(text) // 2])
+            drop_manifest_key(bad, fault.removeprefix("no "))
         argv = {
             "train": ["train", "--config",
                       str(train_config(tmp_path / "exp.json", bad, "surrogate-ab"))],
@@ -322,9 +338,24 @@ def drop_selector(ckpt):
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
 
 
-def truncate_manifest(ckpt):
-    text = (ckpt / "manifest.json").read_text()
-    (ckpt / "manifest.json").write_text(text[:len(text) // 2])
+def truncate_manifest(directory):
+    text = (directory / "manifest.json").read_text()
+    (directory / "manifest.json").write_text(text[:len(text) // 2])
+
+
+def drop_manifest_key(directory, key):
+    manifest = json.loads((directory / "manifest.json").read_text())
+    del manifest[key]
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+
+
+def nan_entry(ckpt, key="fc2.weight"):
+    """Write a NaN over the first value of checkpoint entry ``key``."""
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    offset = next(e["offset"] for e in manifest["entries"] if e["key"] == key)
+    with open(ckpt / "params.bin", "r+b") as fh:
+        fh.seek(4 * offset)
+        fh.write(np.array([np.nan], dtype="<f4").tobytes())
 
 
 class TestUnreadableCheckpoint:
@@ -337,6 +368,9 @@ class TestUnreadableCheckpoint:
         "truncated manifest": (truncate_manifest, 3, "manifest.json"),
         "non-JSON manifest": (lambda ckpt: (ckpt / "manifest.json").write_bytes(b"\x00\xff"),
                               3, "manifest.json"),
+        "NaN entry": (nan_entry, 3, "fc2.weight"),
+        **{f"no {key}": (lambda ckpt, key=key: drop_manifest_key(ckpt, key), 3, key)
+           for key in ("model_type", "spec", "seed", "entries")},
     }
 
     @pytest.mark.parametrize("fault", list(FAULTS))

@@ -271,6 +271,15 @@ class TestSplits:
         with pytest.raises(DataError):
             split_holdout_cycle([make_frame(cycle=2)], holdout_cycle=2, seed=0)
 
+    def test_holdout_too_small_to_split(self):
+        frames = [make_frame(cycle=1, timestamp=i) for i in range(5)]
+        with pytest.raises(DataError, match="at least 2"):
+            split_holdout_cycle(frames + [make_frame(cycle=2, timestamp=9)],
+                                holdout_cycle=2, seed=0)
+        two = [make_frame(cycle=2, timestamp=9 + i) for i in range(2)]
+        _, val, test = split_holdout_cycle(frames + two, holdout_cycle=2, seed=0)
+        assert len(val) == len(test) == 1
+
 
 class TestBypassAugment:
     def test_p_zero_identity(self):

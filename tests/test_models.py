@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,48 @@ class TestCheckpoints:
         for name in ("params.bin", "manifest.json"):
             assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "c2" / name).read_bytes()
 
+    # SHA-256 of params.bin for a fresh model: a reordered or re-derived
+    # initial draw changes it
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: SurrogateNet(SurrogateSpec(10, 4, (8,) * 6), seed=11),
+         "1f31c76d391a58ad62c337ed048f0ffc957414dace2b4bf6ed9e2073c1674fed"),
+        (lambda: LprmNet(small_lprmnet_spec(), seed=12),
+         "925211fca40fec9d14927c7753591e418cd27727bc0c9ae9c5264bb5dbbb177a"),
+    ], ids=["surrogate", "lprmnet"])
+    def test_seeded_initial_state_is_pinned(self, tmp_path, make, digest):
+        save_checkpoint(make(), tmp_path / "c")
+        assert hashlib.sha256((tmp_path / "c" / "params.bin").read_bytes()).hexdigest() == digest
+
+    def test_state_follows_the_layout(self):
+        for net in (SurrogateNet(SurrogateSpec(4, 2, (3,) * 6), seed=1),
+                    SurrogateNet(SurrogateSpec(4, 2, (3,) * 6, use_batch_norm=False), seed=1),
+                    LprmNet(small_lprmnet_spec(), seed=2)):
+            layout = type(net).layout(net.spec)
+            assert list(net.state()) == [e.key for e in layout]
+            assert all(arr.shape == e.shape for arr, e in zip(net.state().values(), layout))
+
+    def test_loading_draws_nothing(self, tmp_path, monkeypatch):
+        nets = {"s": SurrogateNet(SurrogateSpec(10, 4, (8,) * 6), seed=17),
+                "l": LprmNet(small_lprmnet_spec(), seed=18)}
+        for name, net in nets.items():
+            save_checkpoint(net, tmp_path / name)
+
+        def refuse(*args, **kwargs):
+            pytest.fail("load_checkpoint drew a random initialisation")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for name, net in nets.items():
+            again = load_checkpoint(tmp_path / name)
+            for key, arr in net.state().items():
+                np.testing.assert_array_equal(again.state()[key], arr)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, tmp_path, bad):
+        net = SurrogateNet(SurrogateSpec(4, 2, (3,) * 6), seed=13)
+        net.stats["bn2"].var[1] = bad
+        save_checkpoint(net, tmp_path / "c")
+        with pytest.raises(DataError, match="bn2.running_var"):
+            load_checkpoint(tmp_path / "c")
+
     def test_truncated_blob_rejected(self, tmp_path):
         net = SurrogateNet(SurrogateSpec(4, 2, (3,) * 6), seed=13)
         save_checkpoint(net, tmp_path / "c")
@@ -354,13 +398,13 @@ class TestCheckpoints:
     def test_snapshot_into_overwrites_buffers(self):
         net = SurrogateNet(SurrogateSpec(4, 2, (3,) * 6), seed=14)
         snap = net.snapshot()
-        buf = snap["params"]["fc1.weight"]
+        buf = snap["fc1.weight"]
         net.params["fc1.weight"].data += 1.0
         net.stats["bn1"].mean += 2.0
         assert net.snapshot(into=snap) is snap
-        assert snap["params"]["fc1.weight"] is buf
+        assert snap["fc1.weight"] is buf
         np.testing.assert_array_equal(buf, net.params["fc1.weight"].data)
-        np.testing.assert_array_equal(snap["stats"]["bn1"].mean, np.full(3, 2.0))
+        np.testing.assert_array_equal(snap["bn1.running_mean"], np.full(3, 2.0))
 
     def test_zero_grads_clears_to_none(self):
         net = SurrogateNet(SurrogateSpec(4, 2, (3,) * 6), seed=14)
