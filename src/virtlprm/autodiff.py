@@ -57,8 +57,9 @@ class Tensor:
             else:
                 dtype = DEFAULT_DTYPE
         arr = np.array(data, dtype=dtype, order="C")
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.size(arr) - np.sum(np.isfinite(arr)))
+        # one min and one max, no temporary: a NaN or an infinity shows in them
+        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            bad = int(arr.size - np.count_nonzero(np.isfinite(arr)))
             raise ValueError(f"tensor holds {bad} non-finite value(s)")
         self.data = arr
         self.requires_grad = bool(requires_grad)

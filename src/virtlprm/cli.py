@@ -350,11 +350,16 @@ def cmd_infer(args) -> int:
     except CoverageError as err:
         raise ConfigError(str(err)) from None
 
-    frames = load_archive(_existing(args.archive, "archive"))
-    readings, mask = sensor.infer_frames(frames, bypassed)
-    for frame, row, marked in zip(frames, readings.tolist(), mask):
-        line = {"timestamp": frame.timestamp, "readings": row,
-                "virtual": list(sensor.virtual_codes(marked))}
+    # the readings, timestamps and bypass sets only: no core-state blob is read
+    archive = load_archive(_existing(args.archive, "archive"))
+    readings, mask = sensor.infer_readings(archive.readings, archive.timestamps,
+                                           archive.bypassed, bypassed)
+    codes = {}  # one code list per distinct mask row
+    for stamp, row, marked in zip(archive.timestamps, readings.tolist(), mask):
+        key = marked.tobytes()
+        if key not in codes:
+            codes[key] = list(sensor.virtual_codes(marked))
+        line = {"timestamp": stamp, "readings": row, "virtual": codes[key]}
         sys.stdout.write(json.dumps(line, sort_keys=True) + "\n")
     return EXIT_OK
 

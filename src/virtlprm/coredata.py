@@ -11,6 +11,7 @@ sitting on the diagonal itself.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -23,6 +24,7 @@ DETECTORS_PER_STRING = 4
 
 ARCHIVE_SCHEMA = 1
 ARCHIVE_FIELDS = ("np", "rv", "rp", "nbd", "scalars", "readings")
+CORE_STATE_FIELDS = ARCHIVE_FIELDS[:-1]  # read on first frame access
 SCALAR_FIELDS = ("thermal_power", "core_inlet_subcooling", "core_flow")
 
 
@@ -221,10 +223,15 @@ def default_geometry() -> CoreGeometry:
 # statepoint containers
 
 
-def _check_unit_range(name: str, arr: np.ndarray):
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise DataError(f"{name} must lie in [0, 1], got range "
-                        f"[{arr.min():.4g}, {arr.max():.4g}]")
+def _min_max(arr: np.ndarray) -> tuple:
+    """The min and max of ``arr``; (0, 0) for an empty one."""
+    return (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
+
+
+def _check_unit_range(name: str, lo, hi):
+    """An array whose min is ``lo`` and max is ``hi`` lies within [0, 1]."""
+    if lo < 0.0 or hi > 1.0:
+        raise DataError(f"{name} must lie in [0, 1], got range [{lo:.4g}, {hi:.4g}]")
 
 
 @dataclass
@@ -241,8 +248,8 @@ class RodInputs:
         if self.rod_pattern.ndim != 2 or self.nodal_blade_depletion.ndim != 3:
             raise DataError(f"rod inputs need (H,W) and (H,W,D') arrays, got "
                             f"{self.rod_pattern.shape} and {self.nodal_blade_depletion.shape}")
-        _check_unit_range("rod pattern", self.rod_pattern)
-        _check_unit_range("nodal blade depletion", self.nodal_blade_depletion)
+        _check_unit_range("rod pattern", *_min_max(self.rod_pattern))
+        _check_unit_range("nodal blade depletion", *_min_max(self.nodal_blade_depletion))
 
 
 @dataclass
@@ -263,11 +270,14 @@ class CoreState:
         if self.nodal_power.shape[:2] != self.rod_variable.shape[:2]:
             raise DataError(f"radial grids differ: {self.nodal_power.shape} vs "
                             f"{self.rod_variable.shape}")
-        if not np.all(np.isfinite(self.nodal_power)) or not np.all(np.isfinite(self.rod_variable)):
+        # one min and one max per array; a NaN or an infinity shows in them
+        np_lo, np_hi = _min_max(self.nodal_power)
+        rv_lo, rv_hi = _min_max(self.rod_variable)
+        if not all(np.isfinite((np_lo, np_hi, rv_lo, rv_hi))):
             raise DataError("core state arrays hold non-finite values")
-        if self.nodal_power.min() < 0.0:
+        if np_lo < 0.0:
             raise DataError("nodal power must be non-negative")
-        _check_unit_range("rod variable", self.rod_variable)
+        _check_unit_range("rod variable", rv_lo, rv_hi)
 
     def scalars(self) -> np.ndarray:
         return np.array([self.thermal_power, self.core_inlet_subcooling, self.core_flow],
@@ -321,8 +331,8 @@ def derive_rod_variable(rod_pattern: np.ndarray, nodal_blade_depletion: np.ndarr
     if rp.ndim != 2 or nbd.ndim != 3 or nbd.shape[:2] != rp.shape:
         raise DataError(f"rod variable needs (H,W) and (H,W,D') inputs, got "
                         f"{rp.shape} and {nbd.shape}")
-    _check_unit_range("rod pattern", rp)
-    _check_unit_range("nodal blade depletion", nbd)
+    _check_unit_range("rod pattern", *_min_max(rp))
+    _check_unit_range("nodal blade depletion", *_min_max(nbd))
     dprime = nbd.shape[2]
     inserted = np.floor(rp * dprime + 0.5).astype(np.intp)
     nodalized = (np.arange(dprime)[None, None, :] < inserted[:, :, None])
@@ -512,38 +522,114 @@ def read_blob(path) -> np.ndarray:
         raise DataError(f"cannot read {path}: {err.strerror or err}") from None
 
 
-def load_archive(path) -> list[LprmFrame]:
-    """Read an archive directory back into frames, bit-exactly."""
+def _read_field(path: Path, name: str, shape: tuple, count: int) -> np.ndarray:
+    """One field's blob as a (count, *shape) array; a wrong size is a ``DataError``."""
+    raw = read_blob(path / f"{name}.bin")
+    expected = count * int(np.prod(shape))
+    if raw.size != expected:
+        raise DataError(f"{name}.bin holds {raw.size} values, expected {expected}")
+    return raw.reshape((count,) + shape)
+
+
+def _check_blob_size(path: Path, name: str, shape: tuple, count: int) -> None:
+    """A field's blob exists at its declared size; nothing is read from it."""
+    blob = path / f"{name}.bin"
+    try:
+        size = blob.stat().st_size
+    except OSError as err:
+        raise DataError(f"cannot read {blob}: {err.strerror or err}") from None
+    expected = 4 * count * int(np.prod(shape))
+    if size != expected:
+        raise DataError(f"{name}.bin holds {size} bytes, expected {expected}")
+
+
+class FrameArchive(Sequence):
+    """The frames of an archive directory, as ``load_archive`` opens it.
+
+    Three columns are read at open: ``readings``, the (N, 172) float32
+    matrix, ``timestamps`` and ``bypassed`` (each frame's frozenset of
+    ``DetectorId``). The first access to a frame reads and checks the
+    core-state blobs, once for all frames; later accesses reuse those frames,
+    whose ``readings`` are rows of the same matrix.
+    """
+
+    def __init__(self, path: Path, shapes: dict, readings: np.ndarray, timestamps: list,
+                 cycles: list, bypassed: list):
+        self.readings = readings
+        self.timestamps = timestamps
+        self.bypassed = bypassed
+        self._cycles = cycles
+        self._path = path
+        self._shapes = shapes
+        self._frames = None
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, index):
+        return self._read()[index]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def _read(self) -> list[LprmFrame]:
+        """Every frame; the first call reads the core-state blobs and checks each frame."""
+        if self._frames is not None:
+            return self._frames
+        arrays = {name: _read_field(self._path, name, self._shapes[name], len(self))
+                  for name in CORE_STATE_FIELDS}
+        frames = []
+        for i in range(len(self)):
+            scalars = arrays["scalars"][i]
+            state = CoreState(
+                nodal_power=arrays["np"][i],
+                rod_variable=arrays["rv"][i],
+                thermal_power=float(scalars[0]),
+                core_inlet_subcooling=float(scalars[1]),
+                core_flow=float(scalars[2]),
+            )
+            rod = RodInputs(rod_pattern=arrays["rp"][i], nodal_blade_depletion=arrays["nbd"][i])
+            frames.append(LprmFrame(
+                timestamp=self.timestamps[i],
+                cycle_id=self._cycles[i],
+                state=state,
+                readings=self.readings[i],
+                bypassed=self.bypassed[i],
+                rod_inputs=rod,
+            ))
+        self._frames = frames
+        return frames
+
+
+def load_archive(path) -> FrameArchive:
+    """Open an archive directory; its frames read back bit-exactly.
+
+    At open: the manifest, every blob's size (without reading it) and
+    ``readings.bin``. On first frame access: the core-state blobs, with each
+    frame's checks. A fault in either is a ``DataError``.
+    """
     path = Path(path)
     manifest = read_manifest(path, "virtlprm-frames", ARCHIVE_SCHEMA)
-    count = int(manifest["frame_count"])
-    shapes = manifest["shapes"]
-    arrays = {}
-    for name in ARCHIVE_FIELDS:
-        shape = tuple(int(s) for s in shapes[name])
-        expected = count * int(np.prod(shape))
-        raw = read_blob(path / f"{name}.bin")
-        if raw.size != expected:
-            raise DataError(f"{name}.bin holds {raw.size} values, expected {expected}")
-        arrays[name] = raw.reshape((count,) + shape)
-
-    frames = []
-    for i, rec in enumerate(manifest["frames"]):
-        scalars = arrays["scalars"][i]
-        state = CoreState(
-            nodal_power=arrays["np"][i],
-            rod_variable=arrays["rv"][i],
-            thermal_power=float(scalars[0]),
-            core_inlet_subcooling=float(scalars[1]),
-            core_flow=float(scalars[2]),
-        )
-        rod = RodInputs(rod_pattern=arrays["rp"][i], nodal_blade_depletion=arrays["nbd"][i])
-        frames.append(LprmFrame(
-            timestamp=int(rec["timestamp"]),
-            cycle_id=int(rec["cycle"]),
-            state=state,
-            readings=arrays["readings"][i],
-            bypassed=frozenset(DetectorId.parse(c) for c in rec.get("bypassed", [])),
-            rod_inputs=rod,
-        ))
-    return frames
+    try:
+        count = int(manifest["frame_count"])
+        shapes = {name: tuple(int(s) for s in manifest["shapes"][name])
+                  for name in ARCHIVE_FIELDS}
+        records = manifest["frames"]
+        timestamps = [int(rec["timestamp"]) for rec in records]
+        cycles = [int(rec["cycle"]) for rec in records]
+        bypassed = [frozenset(DetectorId.parse(c) for c in rec.get("bypassed", []))
+                    for rec in records]
+    except DataError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise DataError(f"{path / 'manifest.json'}: bad frame_count, shapes or frames: "
+                        f"{err!r}") from None
+    if len(timestamps) != count:
+        raise DataError(f"{path / 'manifest.json'} lists {len(timestamps)} frames, "
+                        f"frame_count is {count}")
+    if len(shapes["readings"]) != 1:
+        raise DataError(f"readings must be a flat vector, got shape {shapes['readings']}")
+    for name in CORE_STATE_FIELDS:
+        _check_blob_size(path, name, shapes[name], count)
+    readings = _read_field(path, "readings", shapes["readings"], count)
+    return FrameArchive(path, shapes, readings, timestamps, cycles, bypassed)

@@ -308,30 +308,32 @@ class VirtualSensor:
                 kind = "axis" if self.geom.set_of_detector(d) == "C" else "mirror"
                 raise CoverageError(f"no {kind} model covers bypassed detector {d.code}")
 
-    def infer_frames(self, frames, bypassed) -> tuple[np.ndarray, np.ndarray]:
-        """Virtual readings of many frames at once: the (N, 172) readings
-        with ``bypassed`` and each frame's own bypassed set replaced by
-        predictions, and that (N, 172) bypass mask.
+    def infer_readings(self, readings, timestamps, frame_bypassed,
+                       bypassed) -> tuple[np.ndarray, np.ndarray]:
+        """Virtual readings of many frames at once: the (N, 172) ``readings``
+        with ``bypassed`` and each row's own set in ``frame_bypassed``
+        replaced by predictions, and that (N, 172) bypass mask.
 
-        Each part runs once over all frames, and only if it covers a masked
+        Each part runs once over all rows, and only if it covers a masked
         entry. A non-finite reading raises ``DataError`` naming the
-        detector and the timestamp, unless its detector is bypassed.
+        detector and the row's timestamp, unless its detector is bypassed.
         """
-        frames = list(frames)
         geom = self.geom
-        readings = np.array([f.readings for f in frames], dtype=np.float32).reshape(
-            len(frames), geom.detector_count)
+        readings = np.asarray(readings, dtype=np.float32)
+        if readings.shape != (len(timestamps), geom.detector_count):
+            raise DataError(f"readings shaped {readings.shape} for {len(timestamps)} frames "
+                            f"of {geom.detector_count} detectors")
         mask = np.zeros(readings.shape, dtype=bool)
         mask[:, [geom.detector_index(d) for d in bypassed]] = True
-        for row, frame in enumerate(frames):
-            mask[row, [geom.detector_index(d) for d in frame.bypassed]] = True
+        for row, own in enumerate(frame_bypassed):
+            mask[row, [geom.detector_index(d) for d in own]] = True
         self.check_coverage(geom.detectors[i]
                             for i in np.flatnonzero((mask & ~self.coverage).any(axis=0)))
         bad = np.argwhere(~np.isfinite(readings) & ~mask)
         if bad.size:
             row, col = bad[0]
             raise DataError(f"non-finite reading {readings[row, col]} from detector "
-                            f"{geom.detectors[col].code} at timestamp {frames[row].timestamp}")
+                            f"{geom.detectors[col].code} at timestamp {timestamps[row]}")
 
         inputs = np.where(mask, np.float32(0.0), readings)
         out = inputs.copy()
@@ -349,7 +351,8 @@ class VirtualSensor:
     def infer(self, frame: LprmFrame, bypassed) -> VirtualReading:
         """Measured readings of one frame with ``bypassed`` and the frame's
         own bypassed set replaced by predictions."""
-        readings, mask = self.infer_frames([frame], bypassed)
+        readings, mask = self.infer_readings(frame.readings[None], [frame.timestamp],
+                                             [frame.bypassed], bypassed)
         return VirtualReading(readings=readings[0], virtual=self.virtual_codes(mask[0]))
 
 

@@ -419,6 +419,19 @@ def save_checkpoint(model: _NetworkBase, path, training_meta: dict | None = None
 _FAMILIES = {net.model_type: net for net in (SurrogateNet, LprmNet)}
 
 
+def _entry_fields(entry, path) -> tuple[str, tuple, int]:
+    """An ``entries`` item's key, shape and offset; a malformed one is a ``DataError``."""
+    try:
+        key = str(entry["key"])
+        shape = tuple(int(s) for s in entry["shape"])
+        start = int(entry["offset"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataError(f"checkpoint {path}: bad entries item {entry!r}: {err!r}") from None
+    if start < 0 or any(s < 0 for s in shape):
+        raise DataError(f"checkpoint {path}: entry {key} has a negative shape or offset")
+    return key, shape, start
+
+
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint directory, bit-exactly: each entry
     of its network's layout is read from the blob, checked and copied once;
@@ -437,13 +450,12 @@ def load_checkpoint(path):
     table = {}
     expected = 0
     for entry in manifest["entries"]:
-        shape = tuple(int(s) for s in entry["shape"])
+        key, shape, start = _entry_fields(entry, path)
         count = int(np.prod(shape)) if shape else 1
-        start = int(entry["offset"])
         if start + count > raw.size:
-            raise DataError(f"checkpoint blob too small for entry {entry['key']}")
+            raise DataError(f"checkpoint blob too small for entry {key}")
         # a view into the blob; the model's constructor makes each entry's one copy
-        table[entry["key"]] = raw[start:start + count].reshape(shape)
+        table[key] = raw[start:start + count].reshape(shape)
         expected += count
     if blob.stat().st_size != raw.itemsize * expected:
         raise DataError(f"checkpoint blob is {blob.stat().st_size} bytes, its entries "

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from virtlprm import coredata
 from virtlprm.coredata import default_geometry, filter_transients, split_surrogate
 from virtlprm.models import SurrogateNet, SurrogateSpec, surrogate_arrays
 from virtlprm.synthplant import PlantScenario, generate_cycle
@@ -39,3 +42,17 @@ def trained_surrogate(session_geom):
         "val_targets": y_va,
         "val_residuals": pred_val - y_va,
     }
+
+
+@pytest.fixture
+def blob_reads(monkeypatch):
+    """The names of the blobs ``coredata.read_blob`` opens, in order."""
+    names = []
+    real = coredata.read_blob
+
+    def record(path):
+        names.append(Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(coredata, "read_blob", record)
+    return names

@@ -34,6 +34,15 @@ class TestTensor:
         with pytest.raises(ValueError, match="non-finite"):
             Tensor([np.inf])
 
+    def test_non_finite_message_counts_bad_values(self):
+        with pytest.raises(ValueError, match="holds 3 non-finite"):
+            Tensor([np.nan, 1.0, -np.inf, np.inf, 0.0])
+        with pytest.raises(ValueError, match="holds 1 non-finite"):
+            Tensor(np.float64(np.nan))
+
+    def test_zero_size_is_valid(self):
+        assert Tensor(np.zeros((0, 3))).shape == (0, 3)
+
     def test_grad_shape_after_backward(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
         ad.tsum(ad.mul(x, x)).backward()

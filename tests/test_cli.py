@@ -349,6 +349,13 @@ def drop_manifest_key(directory, key):
     (directory / "manifest.json").write_text(json.dumps(manifest))
 
 
+def edit_entry(ckpt, edit, index=3):
+    """Replace the checkpoint's ``entries`` item ``index`` with ``edit(item)``."""
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["entries"][index] = edit(manifest["entries"][index])
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
 def nan_entry(ckpt, key="fc2.weight"):
     """Write a NaN over the first value of checkpoint entry ``key``."""
     manifest = json.loads((ckpt / "manifest.json").read_text())
@@ -371,6 +378,15 @@ class TestUnreadableCheckpoint:
         "NaN entry": (nan_entry, 3, "fc2.weight"),
         **{f"no {key}": (lambda ckpt, key=key: drop_manifest_key(ckpt, key), 3, key)
            for key in ("model_type", "spec", "seed", "entries")},
+        **{f"entry without {field}": (
+            lambda ckpt, field=field: edit_entry(
+                ckpt, lambda e: {k: v for k, v in e.items() if k != field}),
+            3, repr(field)) for field in ("key", "shape", "offset")},
+        "entry not an object": (
+            lambda ckpt: edit_entry(ckpt, lambda e: [e["key"], e["shape"], e["offset"]]),
+            3, "bad entries item"),
+        "entry with negative offset": (
+            lambda ckpt: edit_entry(ckpt, lambda e: {**e, "offset": -4}), 3, "negative"),
     }
 
     @pytest.mark.parametrize("fault", list(FAULTS))
@@ -559,6 +575,65 @@ class TestBatchedInfer:
         rows = np.array([json.loads(line)["readings"] for line in outputs[0].splitlines()])
         assert rows.shape == (70, geom.detector_count)
         assert np.all(np.isfinite(rows))
+
+
+def poison_blob(archive, name, offset=0):
+    """Write a NaN over value ``offset`` of the archive's ``<name>.bin``."""
+    with open(archive / f"{name}.bin", "r+b") as fh:
+        fh.seek(4 * offset)
+        fh.write(np.array([np.nan], dtype="<f4").tobytes())
+
+
+class TestInferReadsOnlyReadings:
+    """``infer`` serves from the readings column; the core-state blobs are
+    checked at open for size only, and read by the commands that use them."""
+
+    def infer(self, capsys, trained_run, archive):
+        code = main(["infer", "--checkpoint", str(trained_run["out_dir"] / "checkpoint"),
+                     "--archive", str(archive), "--bypass", "6A,12B"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_reads_no_blob_but_readings(self, trained_run, small_archive, capsys,
+                                        blob_reads):
+        code, out, _ = self.infer(capsys, trained_run, small_archive)
+        assert code == 0
+        assert len(out.splitlines()) == 70
+        assert blob_reads == ["readings.bin"]
+
+    def test_short_core_state_blob_is_data_error(self, trained_run, small_archive, tmp_path,
+                                                 capsys):
+        bad = tmp_path / "short"
+        shutil.copytree(small_archive, bad)
+        (bad / "np.bin").write_bytes((bad / "np.bin").read_bytes()[:-8])
+        code, out, err = self.infer(capsys, trained_run, bad)
+        assert code == 3
+        assert out == ""
+        assert "np.bin" in err
+
+    def test_nan_nodal_power_served_by_infer_only(self, trained_run, small_archive, tmp_path,
+                                                  capsys):
+        bad = tmp_path / "nan"
+        shutil.copytree(small_archive, bad)
+        poison_blob(bad, "np", offset=123)
+        clean = self.infer(capsys, trained_run, small_archive)
+        served = self.infer(capsys, trained_run, bad)
+        assert served[0] == 0
+        assert served[1] == clean[1]
+
+        argvs = {
+            "train": ["train", "--config",
+                      str(train_config(tmp_path / "exp.json", bad, "surrogate-ab"))],
+            "eval": ["eval", "--checkpoint", str(trained_run["out_dir"] / "checkpoint"),
+                     "--archive", str(bad), "--out", str(tmp_path / "rep")],
+            "report": ["report", "--checkpoint", "oracle", "--archive", str(bad),
+                       "--out", str(tmp_path / "drift")],
+        }
+        for command, argv in argvs.items():
+            assert main(argv) == 3, command
+            captured = capsys.readouterr()
+            assert captured.out == "", command
+            assert "non-finite" in captured.err, command
 
 
 class TestReport:

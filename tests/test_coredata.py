@@ -362,6 +362,65 @@ class TestArchive:
         with pytest.raises(DataError):
             save_archive([], tmp_path / "a")
 
+    def test_core_state_read_once_on_first_use(self, tmp_path, blob_reads):
+        frames = [make_frame(cycle=1 + i % 2, timestamp=10 * i) for i in range(3)]
+        frames[1].bypassed = frozenset({DetectorId(3, "B")})
+        frames[1].apply_bypass(default_geometry())
+        save_archive(frames, tmp_path / "a")
+
+        archive = load_archive(tmp_path / "a")
+        assert len(archive) == 3
+        assert archive.timestamps == [0, 10, 20]
+        assert archive.bypassed == [frozenset(), frozenset({DetectorId(3, "B")}), frozenset()]
+        np.testing.assert_array_equal(archive.readings, np.stack([f.readings for f in frames]))
+        assert blob_reads == ["readings.bin"]
+
+        first = list(archive)
+        assert sorted(blob_reads) == sorted(f"{name}.bin" for name in cd.ARCHIVE_FIELDS)
+        assert [f.cycle_id for f in first] == [1, 2, 1]
+        assert [f.bypassed for f in first] == archive.bypassed
+        blob_reads.clear()
+        second = [archive[i] for i in range(len(archive))] + list(archive)
+        assert blob_reads == []
+        assert all(a is b for a, b in zip(first + first, second))
+
+    @pytest.mark.parametrize("name", ["np", "rv", "rp", "nbd", "scalars"])
+    def test_rejects_short_core_state_blob_at_open(self, tmp_path, blob_reads, name):
+        save_archive([make_frame(timestamp=i) for i in range(3)], tmp_path / "a")
+        blob = tmp_path / "a" / f"{name}.bin"
+        blob.write_bytes(blob.read_bytes()[:-4])
+        with pytest.raises(DataError, match=f"{name}.bin"):
+            load_archive(tmp_path / "a")
+        assert blob_reads == []
+
+    def test_core_state_fault_raised_on_first_use(self, tmp_path):
+        save_archive([make_frame(timestamp=i) for i in range(3)], tmp_path / "a")
+        with open(tmp_path / "a" / "np.bin", "r+b") as fh:
+            fh.seek(4 * 30 * 30 * 25 + 8)  # into the second frame
+            fh.write(np.array([np.nan], dtype="<f4").tobytes())
+        archive = load_archive(tmp_path / "a")
+        assert archive.timestamps == [0, 1, 2]
+        for _ in range(2):  # a failed read is not cached
+            with pytest.raises(DataError, match="non-finite"):
+                archive[0]
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.update(frame_count=4),
+        lambda m: m["frames"][1].pop("timestamp"),
+        lambda m: m["frames"].__setitem__(2, [0, 1]),
+        lambda m: m["shapes"].pop("rv"),
+        lambda m: m["shapes"].__setitem__("readings", [4, 43]),
+    ], ids=["frame_count", "no timestamp", "record not an object", "no rv shape",
+            "readings not flat"])
+    def test_rejects_inconsistent_manifest(self, tmp_path, edit):
+        save_archive([make_frame(timestamp=i) for i in range(3)], tmp_path / "a")
+        path = tmp_path / "a" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError):
+            load_archive(tmp_path / "a")
+
 
 class TestContainers:
     def test_core_state_validation(self):
@@ -379,3 +438,28 @@ class TestContainers:
     def test_rod_inputs_validation(self):
         with pytest.raises(DataError):
             RodInputs(np.full((2, 2), 2.0), np.zeros((2, 2, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["nodal_power", "rod_variable"])
+    def test_core_state_rejects_non_finite(self, field, bad):
+        arrays = {"nodal_power": np.ones((2, 2, 3)), "rod_variable": np.zeros((2, 2, 2))}
+        arrays[field][1, 0, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            CoreState(**arrays, thermal_power=1.0, core_inlet_subcooling=1.0, core_flow=1.0)
+
+    def test_unit_range_message_names_the_range(self):
+        rv = np.zeros((2, 2, 2))
+        rv[0, 1, 1] = -0.5
+        with pytest.raises(DataError, match=r"rod variable must lie in \[0, 1\], got range "
+                                            r"\[-0\.5, 0\]"):
+            CoreState(np.ones((2, 2, 3)), rv, 1.0, 1.0, 1.0)
+        nbd = np.zeros((2, 2, 4))
+        nbd[1, 1, 3] = 3.0
+        with pytest.raises(DataError, match=r"nodal blade depletion .* \[0, 3\]"):
+            RodInputs(np.zeros((2, 2)), nbd)
+
+    def test_zero_size_arrays_are_valid(self):
+        state = CoreState(np.zeros((0, 2, 3)), np.zeros((0, 2, 2)), 1.0, 1.0, 1.0)
+        assert state.nodal_power.size == 0
+        rod = RodInputs(np.zeros((0, 2)), np.zeros((0, 2, 4)))
+        assert rod.rod_pattern.size == 0
