@@ -44,7 +44,7 @@ print(f"percent error: {report.percent_error:.2f}%")
 
 # Virtual sensing: bypass one set-B detector and serve its reading from
 # the model instead. On symmetric data its mirror partner is the truth.
-sensor = VirtualSensor(geom, model_ab=model)
+sensor = VirtualSensor(geom, [SetSurrogatePredictor(model, "A")])
 target = geom.detectors_in_set("B")[5]
 partner = geom.symmetry_partner(target)
 frame = test_f[0]

@@ -177,10 +177,9 @@ class _Role:
     target: Callable      # (text after the prefix, geom) -> target
     spec: Callable        # (geom, **model_config) -> spec
     arrays: Callable      # (frames, geom, target) -> (inputs, targets)
-    predictor: Callable   # (network, target) -> predictor
+    predictor: type       # (network, target) -> predictor
     train_defaults: dict  # ``max_lr`` and ``bypass_p`` unless the config sets them
     center_output: bool   # start the readout at the training-target mean
-    serves_infer: bool
 
 
 _ROLES = {
@@ -188,19 +187,17 @@ _ROLES = {
         SurrogateNet, _input_set, lambda geom, **cfg: paired_surrogate_spec(**cfg),
         lambda frames, geom, s: _reading_inputs(*surrogate_arrays(frames, geom, s)),
         SetSurrogatePredictor, train_defaults={"max_lr": 0.005, "bypass_p": 0.2},
-        center_output=False, serves_infer=True),
+        center_output=False),
     "cset:": _Role(
         SurrogateNet, lambda code, geom: _detector(code, geom, axis=True),
         lambda geom, **cfg: axis_surrogate_spec(detector_count=geom.detector_count, **cfg),
         lambda frames, geom, d: _reading_inputs(*axis_detector_arrays(frames, geom, d)),
-        lambda model, d: AxisDetectorPredictor({d: model}),
-        train_defaults={"max_lr": 0.005, "bypass_p": 0.2}, center_output=False,
-        serves_infer=True),
+        AxisDetectorPredictor, train_defaults={"max_lr": 0.005, "bypass_p": 0.2},
+        center_output=False),
     "lprmnet:": _Role(
         LprmNet, _detector, lambda geom, **cfg: LprmNetSpec(**cfg), lprmnet_arrays,
-        lambda model, d: LprmNetPredictor({d: model}),
-        train_defaults={"max_lr": 0.08, "bypass_p": 0.0}, center_output=True,
-        serves_infer=False),
+        LprmNetPredictor, train_defaults={"max_lr": 0.08, "bypass_p": 0.0},
+        center_output=True),
 }
 
 
@@ -221,14 +218,16 @@ def _parse_selector(selector, geom) -> tuple[_Role, object]:
 
 
 def _split_frames(frames, split_spec: str, seed: int):
+    """The (train, val, test) frames and the held-out cycle (None unless
+    ``split_spec`` is ``holdout:<cycle>``)."""
     if split_spec == "surrogate":
-        return split_surrogate(frames, seed=seed)
+        return split_surrogate(frames, seed=seed), None
     if split_spec.startswith("holdout:"):
         try:
             cycle = int(split_spec.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad holdout split spec {split_spec!r}") from None
-        return split_holdout_cycle(frames, holdout_cycle=cycle, seed=seed)
+        return split_holdout_cycle(frames, holdout_cycle=cycle, seed=seed), cycle
     raise ConfigError(f"unknown split spec {split_spec!r}")
 
 
@@ -260,11 +259,10 @@ def cmd_train(args) -> int:
     print(f"loaded {len(frames)} frames, {len(kept)} after transient filtering")
 
     split_spec = config["split"]
-    train_f, val_f, test_f = _split_frames(kept, split_spec, seed)
+    (train_f, val_f, test_f), cycle = _split_frames(kept, split_spec, seed)
     print(f"split '{split_spec}': {len(train_f)} train / {len(val_f)} val / "
           f"{len(test_f)} test frames")
-    if split_spec.startswith("holdout:"):
-        cycle = int(split_spec.split(":", 1)[1])
+    if cycle is not None:
         in_train = sum(1 for f in train_f if f.cycle_id == cycle)
         print(f"frames from holdout cycle {cycle} in train: {in_train}")
 
@@ -295,16 +293,22 @@ def cmd_train(args) -> int:
 # eval / infer / report
 
 
-def _predictor_for_checkpoint(path, geom, serving: bool = False):
+def _predictor_for_checkpoint(path, geom):
     """A checkpoint's predictor, in the role its ``training.selector`` names."""
     model = load_checkpoint(_existing(path, "checkpoint"))
     selector = model.training_meta.get("selector")
     if selector is None:
         raise ConfigError(f"checkpoint {path} names no model selector in its training block")
     role, target = _parse_selector(selector, geom)
-    if serving and not role.serves_infer:
-        raise ConfigError(f"checkpoint {path} cannot serve virtual readings")
     return role.predictor(model, target)
+
+
+def _serving_predictor(path, geom):
+    """A checkpoint's predictor for ``infer``: one with a readings path."""
+    predictor = _predictor_for_checkpoint(path, geom)
+    if not hasattr(predictor, "predict_readings"):
+        raise ConfigError(f"checkpoint {path} cannot serve virtual readings")
+    return predictor
 
 
 def _combined_predictor(checkpoints, geom):
@@ -320,7 +324,7 @@ def _frames_for_eval(args) -> list:
     kept = filter_transients(frames, rated_power=args.rated_power)
     if args.split == "none":
         return kept
-    train_f, val_f, test_f = _split_frames(kept, args.split, args.seed)
+    (train_f, val_f, test_f), _ = _split_frames(kept, args.split, args.seed)
     return {"train": train_f, "val": val_f, "test": test_f}[args.part]
 
 
@@ -343,8 +347,7 @@ def cmd_eval(args) -> int:
 def cmd_infer(args) -> int:
     geom = _resolve_geometry(args.geometry)
     bypassed = _parse_bypass_list(args.bypass)
-    parts = [_predictor_for_checkpoint(path, geom, serving=True) for path in args.checkpoint]
-    sensor = VirtualSensor(geom, parts=parts)
+    sensor = VirtualSensor(geom, [_serving_predictor(path, geom) for path in args.checkpoint])
     try:
         sensor.check_coverage(bypassed)  # validate before any output is emitted
     except CoverageError as err:

@@ -229,8 +229,9 @@ def _min_max(arr: np.ndarray) -> tuple:
 
 
 def _check_unit_range(name: str, lo, hi):
-    """An array whose min is ``lo`` and max is ``hi`` lies within [0, 1]."""
-    if lo < 0.0 or hi > 1.0:
+    """An array whose min is ``lo`` and max is ``hi`` lies within [0, 1]; a
+    NaN min or max fails every comparison, so it is out of range too."""
+    if not (0.0 <= lo and hi <= 1.0):
         raise DataError(f"{name} must lie in [0, 1], got range [{lo:.4g}, {hi:.4g}]")
 
 

@@ -38,20 +38,30 @@ class OraclePredictor:
                                np.stack([f.state.rod_variable for f in frames]), tp, geom)
 
 
-class _ReadingsPredictor:
-    """A predictor whose only inputs are measured readings.
+class _SurrogatePredictor:
+    """One SurrogateNet ``model`` fed measured readings: ``columns(geom)``
+    names the (input, output) columns of the 172-wide readings vector.
 
     ``predict_readings`` maps an (N, 172) readings matrix to (N, 172)
-    predictions, NaN outside the covered detectors; ``predict`` runs it on
+    predictions, NaN outside the output columns; ``predict`` runs it on
     the frames' readings, so frame and matrix callers share one path.
     """
+
+    def covered(self, geom: CoreGeometry) -> np.ndarray:
+        return self.columns(geom)[1]
 
     def predict(self, frames, geom: CoreGeometry) -> np.ndarray:
         return self.predict_readings(np.stack([f.readings for f in frames]), geom)
 
+    def predict_readings(self, readings: np.ndarray, geom: CoreGeometry) -> np.ndarray:
+        inputs, outputs = self.columns(geom)
+        out = np.full(readings.shape, np.nan, dtype=np.float32)
+        out[:, outputs] = batched_predict(self.model, {"x": readings[:, inputs]})
+        return out
 
-class SetSurrogatePredictor(_ReadingsPredictor):
-    """One mirror-set model alone: measured readings of its input set feed
+
+class SetSurrogatePredictor(_SurrogatePredictor):
+    """One mirror-set model: measured readings of its input set feed
     predictions for the opposite set."""
 
     def __init__(self, model: SurrogateNet, input_set: str):
@@ -61,75 +71,63 @@ class SetSurrogatePredictor(_ReadingsPredictor):
         self.input_set = input_set
         self.output_set = "B" if input_set == "A" else "A"
 
-    def covered(self, geom: CoreGeometry) -> np.ndarray:
-        return geom.indices_for_set(self.output_set)
+    def columns(self, geom: CoreGeometry) -> tuple[np.ndarray, np.ndarray]:
+        return geom.indices_for_set(self.input_set), geom.indices_for_set(self.output_set)
 
-    def predict_readings(self, readings: np.ndarray, geom: CoreGeometry) -> np.ndarray:
-        out = np.full(readings.shape, np.nan, dtype=np.float32)
-        x = readings[:, geom.indices_for_set(self.input_set)]
-        out[:, geom.indices_for_set(self.output_set)] = batched_predict(self.model, {"x": x})
+
+class AxisDetectorPredictor(_SurrogatePredictor):
+    """One symmetry-axis model: predicts its target detector from all other
+    measured readings."""
+
+    def __init__(self, model: SurrogateNet, target: DetectorId):
+        self.model = model
+        self.target = target
+
+    def columns(self, geom: CoreGeometry) -> tuple[np.ndarray, np.ndarray]:
+        idx = geom.detector_index(self.target)
+        return (np.delete(np.arange(geom.detector_count, dtype=np.intp), idx),
+                np.array([idx], dtype=np.intp))
+
+
+class LprmNetPredictor:
+    """One LprmNet: predicts its target detector from the core state."""
+
+    def __init__(self, model: LprmNet, target: DetectorId):
+        self.model = model
+        self.target = target
+
+    def covered(self, geom: CoreGeometry) -> np.ndarray:
+        return np.array([geom.detector_index(self.target)], dtype=np.intp)
+
+    def predict(self, frames, geom: CoreGeometry) -> np.ndarray:
+        frames = list(frames)
+        out = np.full((len(frames), geom.detector_count), np.nan, dtype=np.float32)
+        out[:, self.covered(geom)] = batched_predict(self.model, corestate_batch(frames))
         return out
 
 
 class CompositePredictor:
-    """Union of several predictors with disjoint coverage."""
+    """Union of several predictors (or none) with disjoint coverage: the
+    one place that maps parts to their detectors and rejects overlap."""
 
     def __init__(self, parts):
         self.parts = list(parts)
-        if not self.parts:
-            raise DataError("composite predictor needs at least one part")
+
+    def part_indices(self, geom: CoreGeometry) -> list[np.ndarray]:
+        """Each part's covered detector indices; parts that overlap are a ``DataError``."""
+        indices = [np.asarray(p.covered(geom), dtype=np.intp) for p in self.parts]
+        if len(set().union(*indices)) < sum(idx.size for idx in indices):
+            raise DataError("composite predictor parts overlap in coverage")
+        return indices
 
     def covered(self, geom: CoreGeometry) -> np.ndarray:
-        sets = [set(int(i) for i in p.covered(geom)) for p in self.parts]
-        merged = set()
-        for s in sets:
-            if merged & s:
-                raise DataError("composite predictor parts overlap in coverage")
-            merged |= s
-        return np.array(sorted(merged), dtype=np.intp)
+        return np.array(sorted(set().union(*self.part_indices(geom))), dtype=np.intp)
 
     def predict(self, frames, geom: CoreGeometry) -> np.ndarray:
         frames = list(frames)
         out = np.full((len(frames), geom.detector_count), np.nan, dtype=np.float32)
-        for p in self.parts:
-            idx = np.asarray(p.covered(geom), dtype=np.intp)
+        for p, idx in zip(self.parts, self.part_indices(geom)):
             out[:, idx] = p.predict(frames, geom)[:, idx]
-        return out
-
-
-class _PerDetectorPredictor:
-    """One model per target detector; covers the detectors it holds."""
-
-    def __init__(self, models: dict[DetectorId, SurrogateNet | LprmNet]):
-        self.models = dict(models)
-
-    def covered(self, geom: CoreGeometry) -> np.ndarray:
-        return np.sort(np.array([geom.detector_index(d) for d in self.models],
-                                dtype=np.intp))
-
-
-class AxisDetectorPredictor(_PerDetectorPredictor, _ReadingsPredictor):
-    """Per-detector models for the symmetry axis: each predicts its target
-    from all other measured readings."""
-
-    def predict_readings(self, readings: np.ndarray, geom: CoreGeometry) -> np.ndarray:
-        out = np.full(readings.shape, np.nan, dtype=np.float32)
-        for det, model in self.models.items():
-            idx = geom.detector_index(det)
-            x = np.delete(readings, idx, axis=1)
-            out[:, idx] = batched_predict(model, {"x": x})[:, 0]
-        return out
-
-
-class LprmNetPredictor(_PerDetectorPredictor):
-    """Per-detector models that predict their target from the core state."""
-
-    def predict(self, frames, geom: CoreGeometry) -> np.ndarray:
-        frames = list(frames)
-        inputs = corestate_batch(frames)
-        out = np.full((len(frames), geom.detector_count), np.nan, dtype=np.float32)
-        for det, model in self.models.items():
-            out[:, geom.detector_index(det)] = batched_predict(model, inputs)[:, 0]
         return out
 
 
@@ -276,31 +274,24 @@ class VirtualReading:
 
 
 class VirtualSensor:
-    """Serves virtual readings for bypassed detectors from whichever models
-    cover them: mirror-set models for the paired sets, per-detector models
-    for the symmetry axis. ``parts`` adds further readings predictors
-    (``SetSurrogatePredictor``, ``AxisDetectorPredictor``); no two may
-    cover the same detector.
+    """Serves virtual readings for bypassed detectors from whichever of
+    ``parts`` covers them: readings predictors (``SetSurrogatePredictor``
+    for a paired set, ``AxisDetectorPredictor`` for one symmetry-axis
+    detector), composed by ``CompositePredictor``, so no two may cover the
+    same detector.
 
     Bypassed inputs are zeroed before any model runs, so the result does
     not depend on prior virtual values: re-applying with the same bypass
     set reproduces the same output.
     """
 
-    def __init__(self, geom: CoreGeometry, model_ab: SurrogateNet | None = None,
-                 model_ba: SurrogateNet | None = None,
-                 axis_models: dict[DetectorId, SurrogateNet] | None = None, parts=()):
+    def __init__(self, geom: CoreGeometry, parts=()):
         self.geom = geom
-        self.parts = list(parts)
-        if model_ab is not None:
-            self.parts.append(SetSurrogatePredictor(model_ab, "A"))
-        if model_ba is not None:
-            self.parts.append(SetSurrogatePredictor(model_ba, "B"))
-        self.parts += [AxisDetectorPredictor({d: m}) for d, m in (axis_models or {}).items()]
-        self.part_indices = [np.asarray(p.covered(geom), dtype=np.intp) for p in self.parts]
+        self.predictor = CompositePredictor(parts)
+        self.part_indices = self.predictor.part_indices(geom)
         self.coverage = np.zeros(geom.detector_count, dtype=bool)
-        if self.parts:
-            self.coverage[CompositePredictor(self.parts).covered(geom)] = True
+        for idx in self.part_indices:
+            self.coverage[idx] = True
 
     def check_coverage(self, bypassed) -> None:
         for d in bypassed:
@@ -337,7 +328,7 @@ class VirtualSensor:
 
         inputs = np.where(mask, np.float32(0.0), readings)
         out = inputs.copy()
-        for part, idx in zip(self.parts, self.part_indices):
+        for part, idx in zip(self.predictor.parts, self.part_indices):
             hit = mask[:, idx]
             if hit.any():
                 pred = part.predict_readings(inputs, geom)[:, idx]

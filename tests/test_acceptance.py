@@ -30,7 +30,12 @@ from virtlprm.coredata import (
     split_holdout_cycle,
     split_surrogate,
 )
-from virtlprm.evaluation import OraclePredictor, VirtualSensor, drift_report
+from virtlprm.evaluation import (
+    OraclePredictor,
+    SetSurrogatePredictor,
+    VirtualSensor,
+    drift_report,
+)
 from virtlprm.models import (
     LprmNet,
     LprmNetSpec,
@@ -504,7 +509,7 @@ class TestCriterion9VirtualSensing:
         train(model_ba, DataSplit({"x": x_tr}, y_tr, {"x": x_va}, y_va), cfg)
 
         sigma = (batched_predict(model_ba, {"x": x_va}) - y_va).std(axis=0)
-        sensor = VirtualSensor(geom, model_ba=model_ba)
+        sensor = VirtualSensor(geom, [SetSurrogatePredictor(model_ba, "B")])
         target = geom.detectors_in_set("A")[0]
         partner = geom.symmetry_partner(target)
         col = list(geom.detectors_in_set("A")).index(target)

@@ -9,7 +9,7 @@ import pytest
 
 from virtlprm.cli import main
 from virtlprm.coredata import DetectorId, default_geometry, load_archive, save_archive
-from virtlprm.evaluation import VirtualSensor
+from virtlprm.evaluation import SetSurrogatePredictor, VirtualSensor
 from virtlprm.models import LprmNet, LprmNetSpec, load_checkpoint, save_checkpoint
 
 ARCHIVE_FILES = ("manifest.json", "np.bin", "rv.bin", "rp.bin", "nbd.bin",
@@ -472,7 +472,7 @@ class TestBatchedInfer:
         code, out, _ = self.run_infer(capsys, ckpt, small_archive, self.BYPASS)
         assert code == 0
         geom = default_geometry()
-        sensor = VirtualSensor(geom, model_ab=load_checkpoint(ckpt))
+        sensor = VirtualSensor(geom, [SetSurrogatePredictor(load_checkpoint(ckpt), "A")])
         bypassed = [DetectorId.parse(c) for c in self.BYPASS.split(",")]
         virtual = [geom.detector_index(d) for d in bypassed]
         measured = np.setdiff1d(np.arange(geom.detector_count), virtual)
@@ -503,7 +503,7 @@ class TestBatchedInfer:
         ckpt = trained_run["out_dir"] / "checkpoint"
         code, out, _ = self.run_infer(capsys, ckpt, archive, "6A")
         assert code == 0
-        sensor = VirtualSensor(geom, model_ab=load_checkpoint(ckpt))
+        sensor = VirtualSensor(geom, [SetSurrogatePredictor(load_checkpoint(ckpt), "A")])
         frames = load_archive(archive)
         for i, (frame, line) in enumerate(zip(frames, out.splitlines())):
             record = json.loads(line)
@@ -517,6 +517,22 @@ class TestBatchedInfer:
             ref = sensor.infer(frame, [DetectorId.parse("6A")]).readings[filled]
             assert np.all(np.abs(got[filled] - ref) <= 1e-6 + 1e-4 * np.abs(ref))
             assert np.all(got[filled] != 0.0)
+
+    def test_same_role_twice_is_overlap(self, trained_run, small_archive, tmp_path, capsys):
+        # two surrogate-ab checkpoints cover the same detectors; the one overlap
+        # check rejects them in every command that composes checkpoints
+        ckpt = trained_run["out_dir"] / "checkpoint"
+        shutil.copytree(ckpt, tmp_path / "again")
+        twice = ["--checkpoint", str(ckpt), "--checkpoint", str(tmp_path / "again"),
+                 "--archive", str(small_archive)]
+        argvs = {"eval": ["eval", *twice, "--out", str(tmp_path / "rep")],
+                 "report": ["report", *twice, "--out", str(tmp_path / "drift")],
+                 "infer": ["infer", *twice, "--bypass", "6A"]}
+        for command, argv in argvs.items():
+            assert main(argv) == 3, command
+            captured = capsys.readouterr()
+            assert captured.out == "", command
+            assert "overlap" in captured.err, command
 
     def test_lprmnet_checkpoint_is_config_error(self, trained_run, small_archive, tmp_path,
                                                 capsys):
@@ -613,9 +629,23 @@ class TestInferReadsOnlyReadings:
 
     def test_nan_nodal_power_served_by_infer_only(self, trained_run, small_archive, tmp_path,
                                                   capsys):
+        self.check_served_by_infer_only(capsys, trained_run, small_archive, tmp_path,
+                                        "np", "non-finite")
+
+    @pytest.mark.parametrize("blob,message", [("rp", "rod pattern must lie in [0, 1]"),
+                                              ("nbd", "nodal blade depletion must lie in [0, 1]")])
+    def test_nan_rod_input_served_by_infer_only(self, trained_run, small_archive, tmp_path,
+                                                capsys, blob, message):
+        self.check_served_by_infer_only(capsys, trained_run, small_archive, tmp_path,
+                                        blob, message)
+
+    def check_served_by_infer_only(self, capsys, trained_run, small_archive, tmp_path,
+                                   blob, message):
+        """A NaN in core-state blob ``blob``: ``infer`` serves as from the clean
+        archive, and ``train``, ``eval`` and ``report`` exit 3 naming ``message``."""
         bad = tmp_path / "nan"
         shutil.copytree(small_archive, bad)
-        poison_blob(bad, "np", offset=123)
+        poison_blob(bad, blob, offset=123)
         clean = self.infer(capsys, trained_run, small_archive)
         served = self.infer(capsys, trained_run, bad)
         assert served[0] == 0
@@ -633,7 +663,7 @@ class TestInferReadsOnlyReadings:
             assert main(argv) == 3, command
             captured = capsys.readouterr()
             assert captured.out == "", command
-            assert "non-finite" in captured.err, command
+            assert message in captured.err, command
 
 
 class TestReport:

@@ -439,6 +439,17 @@ class TestContainers:
         with pytest.raises(DataError):
             RodInputs(np.full((2, 2), 2.0), np.zeros((2, 2, 4)))
 
+    @pytest.mark.parametrize("field,name", [("rod_pattern", "rod pattern"),
+                                            ("nodal_blade_depletion", "nodal blade depletion")])
+    def test_nan_rod_input_rejected(self, field, name):
+        # NaN fails both of the range's comparisons, so it must not pass as in range
+        arrays = {"rod_pattern": np.full((2, 2), 0.5), "nodal_blade_depletion": np.zeros((2, 2, 4))}
+        arrays[field].flat[3] = np.nan
+        with pytest.raises(DataError, match=name + r" must lie in \[0, 1\]"):
+            RodInputs(**arrays)
+        with pytest.raises(DataError, match=name + r" must lie in \[0, 1\]"):
+            derive_rod_variable(**arrays)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["nodal_power", "rod_variable"])
     def test_core_state_rejects_non_finite(self, field, bad):

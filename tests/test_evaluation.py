@@ -5,6 +5,7 @@ import pytest
 
 from virtlprm.coredata import DetectorId, LprmFrame
 from virtlprm.evaluation import (
+    AxisDetectorPredictor,
     CompositePredictor,
     CoverageError,
     DriftReport,
@@ -16,8 +17,15 @@ from virtlprm.evaluation import (
     drift_report,
     rmse_report,
 )
-from virtlprm.models import SurrogateNet, SurrogateSpec, axis_surrogate_spec
+from virtlprm.models import (
+    SurrogateNet,
+    SurrogateSpec,
+    axis_detector_arrays,
+    axis_surrogate_spec,
+    surrogate_arrays,
+)
 from virtlprm.synthplant import PlantScenario, generate_cycle
+from virtlprm.training import batched_predict
 
 
 @pytest.fixture(scope="module")
@@ -84,9 +92,10 @@ class TestRmseReport:
         spec_kwargs = dict(conv_channels=2, trunk_hidden=8, trunk_out=4,
                            scalar_hidden=4, scalar_out=4, regression_hidden=4)
         from virtlprm.models import LprmNet, LprmNetSpec
-        models = {DetectorId(1, "A"): LprmNet(LprmNetSpec(**spec_kwargs), seed=0),
-                  DetectorId(7, "C"): LprmNet(LprmNetSpec(**spec_kwargs), seed=1)}
-        report = rmse_report(LprmNetPredictor(models), clean_frames[:6], session_geom)
+        predictor = CompositePredictor([
+            LprmNetPredictor(LprmNet(LprmNetSpec(**spec_kwargs), seed=0), DetectorId(1, "A")),
+            LprmNetPredictor(LprmNet(LprmNetSpec(**spec_kwargs), seed=1), DetectorId(7, "C"))])
+        report = rmse_report(predictor, clean_frames[:6], session_geom)
         assert report.groups["overall"].detector_count == 2
         assert set(report.per_detector) == {"1A", "7C"}
 
@@ -131,7 +140,7 @@ class TestVirtualSensing:
         # should sit within 3 validation sigmas of the partner's measurement.
         geom = trained_surrogate["geom"]
         test_frames = trained_surrogate["splits"][2]
-        sensor = VirtualSensor(geom, model_ab=trained_surrogate["model"])
+        sensor = VirtualSensor(geom, [SetSurrogatePredictor(trained_surrogate["model"], "A")])
         sigma = trained_surrogate["val_residuals"].std(axis=0)
         b_set = geom.detectors_in_set("B")
         target = b_set[3]
@@ -148,7 +157,7 @@ class TestVirtualSensing:
 
     def test_idempotent_with_same_bypass_set(self, trained_surrogate, clean_frames):
         geom = trained_surrogate["geom"]
-        sensor = VirtualSensor(geom, model_ab=trained_surrogate["model"])
+        sensor = VirtualSensor(geom, [SetSurrogatePredictor(trained_surrogate["model"], "A")])
         bypass = [geom.detectors_in_set("B")[0]]
         first = sensor.infer(clean_frames[1], bypass)
         frame_again = LprmFrame(timestamp=clean_frames[1].timestamp,
@@ -165,22 +174,23 @@ class TestVirtualSensing:
         geom = trained_surrogate["geom"]
         model_ab = trained_surrogate["model"]
         assert np.all(np.isfinite(model_ab.forward(np.zeros(76, dtype=np.float32))))
-        sensor = VirtualSensor(geom, model_ab=model_ab,
-                               model_ba=SurrogateNet(SurrogateSpec(76, 76, (8,) * 6), seed=2))
+        model_ba = SurrogateNet(SurrogateSpec(76, 76, (8,) * 6), seed=2)
+        sensor = VirtualSensor(geom, [SetSurrogatePredictor(model_ab, "A"),
+                                      SetSurrogatePredictor(model_ba, "B")])
         result = sensor.infer(clean_frames[0], list(geom.detectors_in_set("A")))
         assert np.all(np.isfinite(result.readings))
 
     def test_axis_detector_served_by_axis_model(self, session_geom, clean_frames):
         target = session_geom.detectors_in_set("C")[2]
         model = SurrogateNet(axis_surrogate_spec(hidden=8), seed=0)
-        sensor = VirtualSensor(session_geom, axis_models={target: model})
+        sensor = VirtualSensor(session_geom, [AxisDetectorPredictor(model, target)])
         result = sensor.infer(clean_frames[0], [target])
         assert result.virtual == (target.code,)
         assert np.isfinite(result.readings[session_geom.detector_index(target)])
 
     def test_frame_bypass_set_included(self, trained_surrogate, clean_frames):
         geom = trained_surrogate["geom"]
-        sensor = VirtualSensor(geom, model_ab=trained_surrogate["model"])
+        sensor = VirtualSensor(geom, [SetSurrogatePredictor(trained_surrogate["model"], "A")])
         target = geom.detectors_in_set("B")[1]
         frame = clean_frames[2]
         marked = LprmFrame(timestamp=frame.timestamp, cycle_id=frame.cycle_id,
@@ -269,3 +279,29 @@ class TestPairedPredictor:
         report = rmse_report(predictor, test_f, geom)
         assert report.groups["overall"].detector_count == 152
         assert np.isfinite(report.groups["overall"].mean_rmse)
+
+
+class TestReadingsPredictorColumns:
+    """A readings predictor feeds its model exactly the columns its training
+    arrays hold, and fills only the columns its model predicts."""
+
+    @pytest.mark.parametrize("kind", ["surrogate-ab", "surrogate-ba", "cset"])
+    def test_predict_readings_matches_training_inputs(self, session_geom, clean_frames, kind):
+        geom = session_geom
+        if kind == "cset":
+            target = geom.detectors_in_set("C")[4]
+            model = SurrogateNet(axis_surrogate_spec(hidden=8), seed=3)
+            predictor = AxisDetectorPredictor(model, target)
+            x, _ = axis_detector_arrays(clean_frames, geom, target)
+            outputs = np.array([geom.detector_index(target)])
+        else:
+            input_set = kind[-2].upper()
+            model = SurrogateNet(SurrogateSpec(76, 76, (8,) * 6), seed=3)
+            predictor = SetSurrogatePredictor(model, input_set)
+            x, _ = surrogate_arrays(clean_frames, geom, input_set)
+            outputs = geom.indices_for_set(predictor.output_set)
+        got = predictor.predict_readings(np.stack([f.readings for f in clean_frames]), geom)
+        want = batched_predict(model, {"x": x})
+        np.testing.assert_array_equal(predictor.covered(geom), outputs)
+        assert np.array_equal(got[:, outputs].view(np.uint32), want.view(np.uint32))
+        assert np.all(np.isnan(np.delete(got, outputs, axis=1)))
