@@ -25,7 +25,6 @@ from .autodiff import (
     softmax,
     transpose,
     tsum,
-    zero_grads,
 )
 from .attention import (
     AxialAttentionParams,

@@ -5,8 +5,9 @@ matrix products, 2-D cross-correlation, GELU, batch normalization,
 softmax, mean-squared-error loss, and the shape plumbing (reshape,
 transpose, concatenate) to wire them together. Gradients accumulate
 additively across backward passes. Between optimization steps callers
-clear them to ``None`` (``zero_grads`` on a network does): the next pass
-then assigns each gradient instead of adding it to a zero buffer.
+clear them by setting ``grad`` to ``None`` (``zero_grads`` on a network
+does): the next pass then assigns each gradient instead of adding it to a
+zero buffer.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ class Tensor:
 
     @classmethod
     def _result(cls, data, inputs, rule):
-        # Internal fast path: wraps an op output without re-validating it.
+        # Internal fast path: wraps an op output, or an already checked
+        # array, without re-validating it.
         t = cls.__new__(cls)
         t.data = data
         t.requires_grad = any(i.requires_grad for i in inputs)
@@ -92,9 +94,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
 
     def backward(self):
         backward(Graph.trace(self), self)
@@ -181,8 +180,7 @@ def backward(graph: Graph, loss: Tensor) -> None:
     ``None``, as a network's ``zero_grads`` leaves its parameters, is
     assigned its first gradient; later ones are added out of place, never
     into a buffer another tensor may share. Tensors not reachable from the
-    loss are left untouched: ``None`` after ``zero_grads``, zeros after
-    :meth:`Tensor.zero_grad`.
+    loss are left untouched, so a cleared one keeps ``None``.
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -201,11 +199,6 @@ def backward(graph: Graph, loss: Tensor) -> None:
             if g is None or not inp.requires_grad:
                 continue
             inp.grad = g if inp.grad is None else inp.grad + g
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.zero_grad()
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:

@@ -233,8 +233,7 @@ def _split_frames(frames, split_spec: str, seed: int):
 
 def _train_config_from(config: dict, role: _Role, seed: int) -> TrainConfig:
     try:
-        return TrainConfig.from_dict({**role.train_defaults, **config.get("train", {}),
-                                      "seed": seed})
+        return TrainConfig(**{**role.train_defaults, **config.get("train", {}), "seed": seed})
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad train config: {err}") from None
 
@@ -256,21 +255,21 @@ def cmd_train(args) -> int:
 
     frames = load_archive(_existing(config["archive"], "archive"))
     kept = filter_transients(frames, rated_power=float(config.get("rated_power", 1.0)))
-    print(f"loaded {len(frames)} frames, {len(kept)} after transient filtering")
-
     split_spec = config["split"]
     (train_f, val_f, test_f), cycle = _split_frames(kept, split_spec, seed)
+    x_tr, y_tr = role.arrays(train_f, geom, target)
+    x_va, y_va = role.arrays(val_f, geom, target)
+    data = DataSplit(x_tr, y_tr, x_va, y_va)  # checked before any print: a data error prints none
+
+    print(f"loaded {len(frames)} frames, {len(kept)} after transient filtering")
     print(f"split '{split_spec}': {len(train_f)} train / {len(val_f)} val / "
           f"{len(test_f)} test frames")
     if cycle is not None:
         in_train = sum(1 for f in train_f if f.cycle_id == cycle)
         print(f"frames from holdout cycle {cycle} in train: {in_train}")
-
-    x_tr, y_tr = role.arrays(train_f, geom, target)
-    x_va, y_va = role.arrays(val_f, geom, target)
     if role.center_output:
         center_output_bias(model, y_tr)
-    result = train(model, DataSplit(x_tr, y_tr, x_va, y_va), cfg)
+    result = train(model, data, cfg)
 
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -340,11 +340,15 @@ def derive_rod_variable(rod_pattern: np.ndarray, nodal_blade_depletion: np.ndarr
     return ((1.0 - nbd) * nodalized).astype(np.float32)
 
 
-def filter_transients(frames, rated_power: float = 1.0, median_ratio: float = 5.0):
+# A reading above this multiple of its detector's median within the cycle is invalid.
+MEDIAN_RATIO = 5.0
+
+
+def filter_transients(frames, rated_power: float = 1.0):
     """Drop startup/shutdown statepoints and frames with invalid readings.
 
     Keeps frames at or above 90% of rated thermal power whose readings are
-    finite, non-negative, and no larger than ``median_ratio`` times that
+    finite, non-negative, and no larger than ``MEDIAN_RATIO`` times that
     detector's median within its cycle.
     """
     if rated_power <= 0:
@@ -367,7 +371,7 @@ def filter_transients(frames, rated_power: float = 1.0, median_ratio: float = 5.
         if f.readings.min() < 0.0:
             continue
         med = medians[f.cycle_id]
-        cap = np.where(np.isfinite(med) & (med > 0.0), median_ratio * med, np.inf)
+        cap = np.where(np.isfinite(med) & (med > 0.0), MEDIAN_RATIO * med, np.inf)
         if np.any(f.readings > cap):
             continue
         kept.append(f)
@@ -407,27 +411,26 @@ def split_holdout_cycle(frames, holdout_cycle: int, seed: int):
     return train, val, test
 
 
-def bypass_augment(inputs: np.ndarray, p: float, rng, mode: str = "per-detector") -> np.ndarray:
-    """Randomly zero detector inputs, simulating bypassed instruments.
-
-    ``per-detector`` zeroes each entry independently with probability ``p``;
-    ``per-sample`` zeroes entire rows (all detectors of a sample) instead.
-    """
+def bypass_augment(inputs: np.ndarray, p: float, rng) -> np.ndarray:
+    """Randomly zero detector inputs, simulating bypassed instruments: each
+    entry independently with probability ``p``."""
     if not 0.0 <= p <= 1.0:
         raise DataError(f"probability must lie in [0, 1], got {p}")
-    if mode not in ("per-detector", "per-sample"):
-        raise DataError(f"unknown augmentation mode {mode!r}")
     x = np.asarray(inputs)
-    if mode == "per-detector":
-        mask = rng.random(x.shape) >= p
-    else:
-        row_shape = x.shape[:-1] + (1,) if x.ndim > 1 else (1,)
-        mask = rng.random(row_shape) >= p
+    mask = rng.random(x.shape) >= p
     return (x * mask).astype(x.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
 # frame archive (manifest + flat little-endian float32 blobs)
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as JSON with sorted keys, a 2-space indent and a trailing
+    newline: the one format of every manifest and JSON report."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _frame_arrays(frame: LprmFrame) -> dict[str, np.ndarray]:
@@ -478,9 +481,7 @@ def save_archive(frames, path) -> None:
         "scalar_fields": list(SCALAR_FIELDS),
         "frames": records,
     }
-    with open(path / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path / "manifest.json", manifest)
     for name in ARCHIVE_FIELDS:
         with open(path / f"{name}.bin", "wb") as fh:
             for arr in buffers[name]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coredata import LEVELS, CoreGeometry, DataError, DetectorId, LprmFrame
+from .coredata import LEVELS, CoreGeometry, DataError, DetectorId, LprmFrame, write_json
 from .models import LprmNet, SurrogateNet, corestate_batch
 from .synthplant import oracle_readings
 from .training import batched_predict
@@ -176,9 +176,7 @@ class RmseReport:
         )
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_json(cls, path) -> "RmseReport":
@@ -372,9 +370,7 @@ class DriftReport:
                 "detectors": {k: vars(v) for k, v in self.detectors.items()}}
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -18,7 +18,6 @@ spec dataclasses; they are pinned for reproducibility, not tuned.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -28,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import AxialAttentionParams, axial_attention
 from .autodiff import RunningStats, Tensor
-from .coredata import CoreGeometry, CoreState, DataError, DetectorId, read_blob, read_manifest
+from .coredata import CoreGeometry, DataError, DetectorId, read_blob, read_manifest, write_json
 
 CHECKPOINT_SCHEMA = 1
 
@@ -109,13 +108,20 @@ class _NetworkBase:
         self._construct(spec, seed, draws, dtype)
 
     def _construct(self, spec, seed: int, table: dict, dtype=np.float32):
-        """Copy each layout entry from ``table`` once, in ``dtype``: drawn or loaded."""
+        """Copy each layout entry from ``table`` once, in ``dtype``: drawn or loaded.
+
+        The entries are wrapped without ``Tensor``'s finiteness check: a drawn
+        entry is finite by construction, and ``load_checkpoint`` has checked
+        every loaded one.
+        """
         self.spec = spec
         self.seed = int(seed)
         self.params, self.stats = {}, {}
         for e in self.layout(spec):
             if e.stat is None:
-                self.params[e.key] = Tensor(table[e.key], requires_grad=True, dtype=dtype)
+                param = Tensor._result(np.array(table[e.key], dtype=dtype, order="C"), (), None)
+                param.requires_grad = True
+                self.params[e.key] = param
                 continue
             norm, buffer = e.stat
             if norm not in self.stats:
@@ -196,15 +202,6 @@ class SurrogateNet(_NetworkBase):
                 h = self._norm_layer(f"bn{i}", h, mode, conv=False)
             h = ad.gelu(h)
         return self._linear("out", h)
-
-    def forward(self, readings: np.ndarray, mode: str = "eval") -> np.ndarray:
-        """Predict from one reading vector or a batch of them."""
-        arr = np.asarray(readings, dtype=np.float32)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        out = self.forward_batch({"x": arr}, mode=mode).data
-        return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -315,26 +312,13 @@ class LprmNet(_NetworkBase):
         r = ad.gelu(self._norm_layer("reg1.bn", self._linear("reg1", joined), mode, False))
         return self._linear("out", r)
 
-    def forward(self, state: CoreState, mode: str = "eval") -> float:
-        """Predicted reading for one core state."""
-        inputs = {k: v[None] for k, v in corestate_inputs(state).items()}
-        return float(self.forward_batch(inputs, mode=mode).data[0, 0])
-
 
 # ---------------------------------------------------------------------------
 # dataset assembly
 
 
-def corestate_inputs(state: CoreState) -> dict[str, np.ndarray]:
-    """Channel-first arrays for one state: depth becomes the channel axis."""
-    return {
-        "np": np.ascontiguousarray(state.nodal_power.transpose(2, 0, 1)),
-        "rv": np.ascontiguousarray(state.rod_variable.transpose(2, 0, 1)),
-        "scalars": state.scalars(),
-    }
-
-
 def corestate_batch(frames) -> dict[str, np.ndarray]:
+    """Channel-first arrays for a batch of frames: depth becomes the channel axis."""
     frames = list(frames)
     return {
         "np": np.stack([f.state.nodal_power.transpose(2, 0, 1) for f in frames]),
@@ -407,9 +391,7 @@ def save_checkpoint(model: _NetworkBase, path, training_meta: dict | None = None
         "training": training_meta or {},
         "entries": entries,
     }
-    with open(path / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path / "manifest.json", manifest)
     with open(path / "params.bin", "wb") as fh:
         for blob in blobs:
             fh.write(blob.tobytes())

@@ -6,29 +6,39 @@ best-validation checkpointing.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .coredata import bypass_augment
+from .coredata import DataError, bypass_augment
 
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
 
 
+# The one recipe both model families train with. AdamW (Loshchilov & Hutter,
+# arXiv:1711.05101): moment decay rates BETA1 and BETA2, and EPS added to the
+# update's denominator. One-cycle schedule (Smith & Topin, arXiv:1708.07120):
+# it starts at max_lr / DIV_START and ends at max_lr / DIV_FINAL.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+DIV_START = 25.0
+DIV_FINAL = 1e4
+
+
 @dataclass
 class TrainConfig:
-    """Optimizer and schedule settings.
+    """The settings of one training run.
 
     ``max_lr`` is the one-cycle peak (0.005 for the mirror-set surrogate
     models, 0.08 for the per-detector core-state models); weight decay is
-    0.01. Epochs, batch size, and the schedule shape are engineering
-    defaults exposed here.
+    0.01. Epochs, batch size and the warmup fraction are engineering
+    defaults. The optimizer and schedule constants are fixed above.
     """
 
     max_lr: float
@@ -36,14 +46,8 @@ class TrainConfig:
     batch_size: int = 64
     seed: int = 0
     bypass_p: float = 0.0
-    bypass_mode: str = "per-detector"
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     warmup_frac: float = 0.3
-    div_start: float = 25.0
-    div_final: float = 1e4
 
     def __post_init__(self):
         if self.max_lr <= 0:
@@ -52,20 +56,6 @@ class TrainConfig:
             raise ValueError(f"bypass_p must lie in [0, 1], got {self.bypass_p}")
         if self.epochs < 1 or self.batch_size < 2:
             raise ValueError("need at least 1 epoch and a batch size of at least 2")
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, path) -> "TrainConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 # Elements per AdamW block. The block's slices of p, g, m, v and the scratch
@@ -84,11 +74,11 @@ class AdamWState:
         self._scratch = {k: np.empty(min(p.size, ADAMW_BLOCK), dtype=p.dtype)
                          for k, p in params.items()}
         self.t = 0
-        self.beta1 = cfg.beta1
-        self.beta2 = cfg.beta2
-        self.eps = cfg.eps
+        self.beta1 = BETA1
+        self.beta2 = BETA2
+        self.eps = EPS
         self.weight_decay = cfg.weight_decay
-        self.lr = cfg.max_lr / cfg.div_start
+        self.lr = cfg.max_lr / DIV_START
 
 
 def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
@@ -170,8 +160,8 @@ def one_cycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
     last = total_steps - 1
     warmup_steps = int(round(cfg.warmup_frac * last))
     warmup_steps = min(max(warmup_steps, 1), last)
-    start = cfg.max_lr / cfg.div_start
-    final = cfg.max_lr / cfg.div_final
+    start = cfg.max_lr / DIV_START
+    final = cfg.max_lr / DIV_FINAL
     if step == warmup_steps:
         return cfg.max_lr
     if step < warmup_steps:
@@ -186,7 +176,8 @@ def one_cycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
 @dataclass
 class DataSplit:
     """Input/target arrays for training and validation. Inputs are keyed
-    dicts so one loop serves both model families."""
+    dicts so one loop serves both model families. A training split of fewer
+    than 2 samples, or an empty validation split, is a ``DataError``."""
 
     train_inputs: dict
     train_targets: np.ndarray
@@ -195,9 +186,10 @@ class DataSplit:
 
     def __post_init__(self):
         if len(self.train_targets) < 2:
-            raise ValueError("training split needs at least 2 samples")
+            raise DataError(f"training split has {len(self.train_targets)} sample(s), "
+                            "needs at least 2")
         if len(self.val_targets) < 1:
-            raise ValueError("validation split is empty")
+            raise DataError("validation split is empty")
 
 
 @dataclass
@@ -211,12 +203,16 @@ def _take(inputs: dict, idx) -> dict:
     return {k: v[idx] for k, v in inputs.items()}
 
 
-def batched_predict(model, inputs: dict, chunk: int = 256) -> np.ndarray:
+# Rows per eval-mode forward in ``batched_predict``: bounds its activations.
+PREDICT_CHUNK = 256
+
+
+def batched_predict(model, inputs: dict) -> np.ndarray:
     """Eval-mode predictions over a whole input set, in memory-bounded chunks."""
     n = len(next(iter(inputs.values())))
     parts = []
-    for lo in range(0, n, chunk):
-        batch = {k: v[lo:lo + chunk] for k, v in inputs.items()}
+    for lo in range(0, n, PREDICT_CHUNK):
+        batch = {k: v[lo:lo + PREDICT_CHUNK] for k, v in inputs.items()}
         parts.append(model.forward_batch(batch, mode="eval").data)
     return np.concatenate(parts, axis=0)
 
@@ -258,8 +254,7 @@ def train(model, data: DataSplit, cfg: TrainConfig) -> TrainResult:
             idx = perm[lo:hi]
             batch_inputs = _take(data.train_inputs, idx)
             if cfg.bypass_p > 0.0 and "x" in batch_inputs:
-                batch_inputs["x"] = bypass_augment(batch_inputs["x"], cfg.bypass_p,
-                                                   rng, mode=cfg.bypass_mode)
+                batch_inputs["x"] = bypass_augment(batch_inputs["x"], cfg.bypass_p, rng)
             targets = Tensor(data.train_targets[idx])
 
             model.zero_grads()

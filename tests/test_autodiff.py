@@ -349,11 +349,12 @@ class TestBackward:
             ad.backward(Graph.trace(y), y)
 
     def test_disconnected_tensor_gets_zero_gradient(self):
+        # a cleared gradient is None, and a tensor the loss does not reach keeps it
         x = t64([1.0], requires_grad=True)
         unused = t64([5.0], requires_grad=True)
-        unused.zero_grad()
+        unused.grad = None
         ad.tsum(ad.mul(x, x)).backward()
-        np.testing.assert_array_equal(unused.grad, [0.0])
+        assert unused.grad is None
 
     def test_sum_of_losses_equals_sum_of_backwards(self):
         rng = np.random.default_rng(41)
@@ -377,7 +378,7 @@ class TestBackward:
         for _ in range(2):
             ad.tsum(ad.mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, [4.0])
-        x.zero_grad()
+        x.grad = None
         ad.tsum(ad.mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, [2.0])
 

@@ -187,6 +187,36 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 3
         assert "holdout cycle 2 has 1 frame(s)" in capsys.readouterr().err
 
+    def test_one_frame_training_split_is_data_error(self, tmp_path, capsys):
+        gen = write_gen_config(tmp_path / "gen.json", [
+            {"cycle_id": 1, "frame_count": 1, "seed": 11},
+            {"cycle_id": 2, "frame_count": 10, "seed": 11},
+        ])
+        assert main(["gen", "--config", str(gen), "--out", str(tmp_path / "a")]) == 0
+        cfg = train_config(tmp_path / "exp.json", tmp_path / "a", "surrogate-ab")
+        config = json.loads(cfg.read_text())
+        config["split"] = "holdout:2"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "training split has 1 sample(s)" in captured.err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, value", [("bypass_mode", "per-sample"), ("beta1", 0.8)])
+    def test_fixed_recipe_key_is_config_error_before_reading(self, small_archive, tmp_path,
+                                                             monkeypatch, capsys, key, value):
+        fail_on_archive_read(monkeypatch)
+        cfg = train_config(tmp_path / "exp.json", small_archive, "surrogate-ab")
+        config = json.loads(cfg.read_text())
+        config["train"][key] = value
+        cfg.write_text(json.dumps(config))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "bad train config" in err and key in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_field_is_config_error(self, small_archive, tmp_path, capsys):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({"archive": str(small_archive)}))

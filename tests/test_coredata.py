@@ -305,13 +305,6 @@ class TestBypassAugment:
         b = bypass_augment(x, 0.3, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
-    def test_per_sample_mode_zeroes_whole_rows(self):
-        x = np.ones((2000, 4), dtype=np.float32)
-        out = bypass_augment(x, 0.5, np.random.default_rng(3), mode="per-sample")
-        row_sums = out.sum(axis=1)
-        assert set(np.unique(row_sums)) == {0.0, 4.0}
-        assert 0.4 < (row_sums == 0).mean() < 0.6
-
     def test_invalid_probability(self):
         with pytest.raises(DataError):
             bypass_augment(np.ones(3), 1.5, np.random.default_rng(0))

@@ -173,7 +173,7 @@ class TestVirtualSensing:
         # Zeroing the whole input set must not destabilize predictions.
         geom = trained_surrogate["geom"]
         model_ab = trained_surrogate["model"]
-        assert np.all(np.isfinite(model_ab.forward(np.zeros(76, dtype=np.float32))))
+        assert np.all(np.isfinite(batched_predict(model_ab, {"x": np.zeros((1, 76), np.float32)})))
         model_ba = SurrogateNet(SurrogateSpec(76, 76, (8,) * 6), seed=2)
         sensor = VirtualSensor(geom, [SetSurrogatePredictor(model_ab, "A"),
                                       SetSurrogatePredictor(model_ba, "B")])

@@ -21,6 +21,7 @@ from virtlprm.models import (
     surrogate_arrays,
 )
 from virtlprm.synthplant import PlantScenario, generate_cycle
+from virtlprm.training import batched_predict
 
 
 @pytest.fixture(scope="module")
@@ -94,29 +95,29 @@ class TestSurrogateNet:
 
     def test_zero_input_finite_output(self):
         net = SurrogateNet(SurrogateSpec(76, 76, (32,) * 6), seed=1)
-        out = net.forward(np.zeros(76, dtype=np.float32))
-        assert out.shape == (76,)
+        out = batched_predict(net, {"x": np.zeros((1, 76), dtype=np.float32)})
+        assert out.shape == (1, 76)
         assert np.all(np.isfinite(out))
 
     def test_eval_forward_bitwise_repeatable(self):
         rng = np.random.default_rng(2)
         net = SurrogateNet(SurrogateSpec(76, 76, (32,) * 6), seed=1)
-        x = rng.random(76).astype(np.float32)
-        np.testing.assert_array_equal(net.forward(x), net.forward(x))
+        x = {"x": rng.random((1, 76)).astype(np.float32)}
+        np.testing.assert_array_equal(batched_predict(net, x), batched_predict(net, x))
 
     def test_identical_rows_identical_outputs_in_eval(self):
         rng = np.random.default_rng(3)
         net = SurrogateNet(SurrogateSpec(10, 4, (8,) * 6), seed=1)
         row = rng.random(10).astype(np.float32)
         batch = np.tile(row, (5, 1))
-        out = net.forward(batch)
+        out = batched_predict(net, {"x": batch})
         for i in range(1, 5):
             np.testing.assert_array_equal(out[i], out[0])
 
     def test_wrong_input_length_rejected(self):
         net = SurrogateNet(SurrogateSpec(10, 4, (8,) * 6), seed=1)
         with pytest.raises(DataError):
-            net.forward(np.zeros(11, dtype=np.float32))
+            net.forward_batch({"x": np.zeros((1, 11), dtype=np.float32)})
 
     def test_every_parameter_gets_gradient(self):
         rng = np.random.default_rng(4)
@@ -170,9 +171,9 @@ class TestLprmNet:
         spec = LprmNetSpec(conv_channels=4, trunk_hidden=16, trunk_out=8,
                            scalar_hidden=8, scalar_out=8, regression_hidden=8)
         net = LprmNet(spec, seed=1)
-        value = net.forward(frames[0].state)
-        assert isinstance(value, float)
-        assert np.isfinite(value)
+        value = batched_predict(net, corestate_batch(frames[:1]))
+        assert value.shape == (1, 1)
+        assert np.isfinite(value[0, 0])
 
     def test_batch_output_shape(self):
         spec = small_lprmnet_spec()
@@ -300,7 +301,8 @@ class TestCheckpoints:
             np.testing.assert_array_equal(again.stats[key].var, net.stats[key].var)
 
         x = rng.random((3, 10)).astype(np.float32)
-        np.testing.assert_array_equal(again.forward(x), net.forward(x))
+        np.testing.assert_array_equal(batched_predict(again, {"x": x}),
+                                      batched_predict(net, {"x": x}))
 
         save_checkpoint(again, tmp_path / "ckpt2")
         assert (tmp_path / "ckpt" / "params.bin").read_bytes() == \
