@@ -9,7 +9,7 @@ import numpy as np
 
 from virtlprm.coredata import default_geometry, filter_transients, split_surrogate
 from virtlprm.evaluation import SetSurrogatePredictor, VirtualSensor, rmse_report
-from virtlprm.models import SurrogateNet, SurrogateSpec, surrogate_arrays
+from virtlprm.models import SurrogateNet, SurrogateSpec
 from virtlprm.synthplant import PlantScenario, generate_cycle
 from virtlprm.training import DataSplit, TrainConfig, batched_predict, train
 
@@ -19,32 +19,35 @@ frames = filter_transients(generate_cycle(
 train_f, val_f, test_f = split_surrogate(frames, seed=0)
 print(f"{len(frames)} frames: {len(train_f)} train / {len(val_f)} val / {len(test_f)} test")
 
-# Set-A readings in, set-B readings out. Training randomly zeroes input
-# detectors so the model stays stable when real instruments are bypassed.
-x_tr, y_tr = surrogate_arrays(train_f, geom, input_set="A")
-x_va, y_va = surrogate_arrays(val_f, geom, input_set="A")
+# Set-A readings in, set-B readings out. The predictor that later serves
+# the model also builds its training arrays, so both use the same columns.
+# Training randomly zeroes input detectors so the model stays stable when
+# real instruments are bypassed.
 model = SurrogateNet(SurrogateSpec(76, 76, (128,) * 6), seed=7)
+predictor = SetSurrogatePredictor(model, "A")
+x_tr, y_tr = predictor.training_arrays(train_f, geom)
+x_va, y_va = predictor.training_arrays(val_f, geom)
 cfg = TrainConfig(max_lr=0.005, epochs=150, batch_size=32, seed=1, bypass_p=0.2)
-result = train(model, DataSplit({"x": x_tr}, y_tr, {"x": x_va}, y_va), cfg)
+result = train(model, DataSplit(x_tr, y_tr, x_va, y_va), cfg)
 print(f"best validation MSE {result.best_val_loss:.6f} at epoch {result.best_epoch}")
 
 # Held-out error against the trivial predict-the-training-mean baseline.
-x_te, y_te = surrogate_arrays(test_f, geom, input_set="A")
-pred = batched_predict(model, {"x": x_te})
+x_te, y_te = predictor.training_arrays(test_f, geom)
+pred = batched_predict(model, x_te)
 rmse = float(np.sqrt(np.mean((pred - y_te) ** 2)))
 baseline = float(np.sqrt(np.mean((y_tr.mean(axis=0) - y_te) ** 2)))
 print(f"test RMSE {rmse:.4f} vs mean-predictor {baseline:.4f} "
       f"({baseline / rmse:.1f}x better)")
 
 # The five-row report used throughout: overall plus per axial level.
-report = rmse_report(SetSurrogatePredictor(model, "A"), test_f, geom)
+report = rmse_report(predictor, test_f, geom)
 print()
 print(report.rows_text())
 print(f"percent error: {report.percent_error:.2f}%")
 
 # Virtual sensing: bypass one set-B detector and serve its reading from
 # the model instead. On symmetric data its mirror partner is the truth.
-sensor = VirtualSensor(geom, [SetSurrogatePredictor(model, "A")])
+sensor = VirtualSensor(geom, [predictor])
 target = geom.detectors_in_set("B")[5]
 partner = geom.symmetry_partner(target)
 frame = test_f[0]

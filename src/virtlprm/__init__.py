@@ -71,14 +71,11 @@ from .models import (
     LprmNetSpec,
     SurrogateNet,
     SurrogateSpec,
-    axis_detector_arrays,
     axis_surrogate_spec,
     center_output_bias,
     load_checkpoint,
-    lprmnet_arrays,
     paired_surrogate_spec,
     save_checkpoint,
-    surrogate_arrays,
 )
 from .synthplant import (
     PlantScenario,
@@ -95,7 +92,6 @@ from .training import (
     TrainResult,
     adamw_step,
     batched_predict,
-    history_from_csv,
     history_to_csv,
     one_cycle_lr,
     train,

@@ -42,14 +42,11 @@ from .models import (
     LprmNet,
     LprmNetSpec,
     SurrogateNet,
-    axis_detector_arrays,
     axis_surrogate_spec,
     center_output_bias,
     load_checkpoint,
-    lprmnet_arrays,
     paired_surrogate_spec,
     save_checkpoint,
-    surrogate_arrays,
 )
 from .synthplant import PlantScenario, generate_plant
 from .training import (
@@ -129,6 +126,10 @@ def _scenarios_from_config(config: dict):
             ))
         except KeyError as missing:
             raise ConfigError(f"cycle entry missing field {missing}") from None
+        except (ConfigError, DataError):  # a value out of range stays a data error
+            raise
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"bad cycle entry {entry}: {err}") from None
     return scenarios
 
 
@@ -153,9 +154,8 @@ def cmd_gen(args) -> int:
 
 def _detector(code: str, geom, axis: bool = False) -> DetectorId:
     target = DetectorId.parse(code)
-    geom.detector_index(target)  # a detector outside the layout is a DataError
-    if axis and geom.set_of_detector(target) != "C":
-        raise DataError(f"{target.code} is not on the symmetry axis")
+    # a detector outside the layout, or off the axis for an axis model, is a DataError
+    (geom.axis_detector_index if axis else geom.detector_index)(target)
     return target
 
 
@@ -165,10 +165,6 @@ def _input_set(pair: str, geom) -> str:
     return pair[0].upper()
 
 
-def _reading_inputs(x, y):
-    return {"x": x}, y
-
-
 @dataclass(frozen=True)
 class _Role:
     """What a selector's kind decides; its target is what follows the prefix."""
@@ -176,8 +172,7 @@ class _Role:
     network: type
     target: Callable      # (text after the prefix, geom) -> target
     spec: Callable        # (geom, **model_config) -> spec
-    arrays: Callable      # (frames, geom, target) -> (inputs, targets)
-    predictor: type       # (network, target) -> predictor
+    predictor: type       # (model, target) -> predictor, which builds its training arrays
     train_defaults: dict  # ``max_lr`` and ``bypass_p`` unless the config sets them
     center_output: bool   # start the readout at the training-target mean
 
@@ -185,18 +180,16 @@ class _Role:
 _ROLES = {
     "surrogate-": _Role(
         SurrogateNet, _input_set, lambda geom, **cfg: paired_surrogate_spec(**cfg),
-        lambda frames, geom, s: _reading_inputs(*surrogate_arrays(frames, geom, s)),
         SetSurrogatePredictor, train_defaults={"max_lr": 0.005, "bypass_p": 0.2},
         center_output=False),
     "cset:": _Role(
         SurrogateNet, lambda code, geom: _detector(code, geom, axis=True),
         lambda geom, **cfg: axis_surrogate_spec(detector_count=geom.detector_count, **cfg),
-        lambda frames, geom, d: _reading_inputs(*axis_detector_arrays(frames, geom, d)),
         AxisDetectorPredictor, train_defaults={"max_lr": 0.005, "bypass_p": 0.2},
         center_output=False),
     "lprmnet:": _Role(
-        LprmNet, _detector, lambda geom, **cfg: LprmNetSpec(**cfg), lprmnet_arrays,
-        LprmNetPredictor, train_defaults={"max_lr": 0.08, "bypass_p": 0.0},
+        LprmNet, _detector, lambda geom, **cfg: LprmNetSpec(**cfg), LprmNetPredictor,
+        train_defaults={"max_lr": 0.08, "bypass_p": 0.0},
         center_output=True),
 }
 
@@ -232,8 +225,11 @@ def _split_frames(frames, split_spec: str, seed: int):
 
 
 def _train_config_from(config: dict, role: _Role, seed: int) -> TrainConfig:
+    block = config.get("train", {})
     try:
-        return TrainConfig(**{**role.train_defaults, **config.get("train", {}), "seed": seed})
+        if "seed" in block:
+            raise ValueError("'seed' belongs at the top level of the experiment config")
+        return TrainConfig(**{**role.train_defaults, **block}, seed=seed)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad train config: {err}") from None
 
@@ -243,7 +239,11 @@ def cmd_train(args) -> int:
     for required in ("archive", "model", "split", "seed", "out_dir"):
         if required not in config:
             raise ConfigError(f"experiment config missing required field {required!r}")
-    seed = _env_seed(int(config["seed"]))
+    try:
+        seed, rated_power = int(config["seed"]), float(config.get("rated_power", 1.0))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad seed or rated_power: {err}") from None
+    seed = _env_seed(seed)
     geom = _resolve_geometry(config.get("geometry", "default"))
     selector = config["model"]
     role, target = _parse_selector(selector, geom)
@@ -251,14 +251,15 @@ def cmd_train(args) -> int:
         model = role.network(role.spec(geom, **config.get("model_config", {})), seed=seed)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad model_config for {selector!r}: {err}") from None
+    predictor = role.predictor(model, target)
     cfg = _train_config_from(config, role, seed)
 
     frames = load_archive(_existing(config["archive"], "archive"))
-    kept = filter_transients(frames, rated_power=float(config.get("rated_power", 1.0)))
+    kept = filter_transients(frames, rated_power=rated_power)
     split_spec = config["split"]
     (train_f, val_f, test_f), cycle = _split_frames(kept, split_spec, seed)
-    x_tr, y_tr = role.arrays(train_f, geom, target)
-    x_va, y_va = role.arrays(val_f, geom, target)
+    x_tr, y_tr = predictor.training_arrays(train_f, geom)
+    x_va, y_va = predictor.training_arrays(val_f, geom)
     data = DataSplit(x_tr, y_tr, x_va, y_va)  # checked before any print: a data error prints none
 
     print(f"loaded {len(frames)} frames, {len(kept)} after transient filtering")

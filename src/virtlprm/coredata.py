@@ -150,6 +150,13 @@ class CoreGeometry:
         except KeyError:
             raise DataError(f"unknown detector {d.code}") from None
 
+    def axis_detector_index(self, d: DetectorId) -> int:
+        """Vector index of a symmetry-axis (set C) detector; any other is a ``DataError``."""
+        idx = self.detector_index(d)
+        if self.set_of_detector(d) != "C":
+            raise DataError(f"{d.code} is not on the symmetry axis")
+        return idx
+
     def position_of(self, string_index: int) -> tuple[int, int]:
         try:
             return self._position[string_index]

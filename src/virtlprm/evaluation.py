@@ -5,7 +5,6 @@ bypassed detectors, and residual-trend diagnostics for calibration drift.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,26 +37,48 @@ class OraclePredictor:
                                np.stack([f.state.rod_variable for f in frames]), tp, geom)
 
 
-class _SurrogatePredictor:
-    """One SurrogateNet ``model`` fed measured readings: ``columns(geom)``
-    names the (input, output) columns of the 172-wide readings vector.
+class _ModelPredictor:
+    """One trained ``model`` and the one decision of what it reads and
+    fills: ``model_inputs(frames, readings, geom)`` is its input dict, given
+    the frames and their stacked (N, 172) readings, and ``covered(geom)``
+    the reading columns it predicts. Training arrays and predictions both
+    come from these two, so they cannot disagree."""
+
+    def training_arrays(self, frames, geom: CoreGeometry):
+        """The model's inputs and its target columns of the frames' readings."""
+        frames = list(frames)
+        readings = np.stack([f.readings for f in frames])
+        return self.model_inputs(frames, readings, geom), readings[:, self.covered(geom)]
+
+    def predict(self, frames, geom: CoreGeometry) -> np.ndarray:
+        frames = list(frames)
+        readings = np.stack([f.readings for f in frames])
+        return self._fill(len(frames), geom, self.model_inputs(frames, readings, geom))
+
+    def _fill(self, n: int, geom: CoreGeometry, inputs: dict) -> np.ndarray:
+        """(n, 172) predictions of the model on ``inputs``, NaN outside its columns."""
+        out = np.full((n, geom.detector_count), np.nan, dtype=np.float32)
+        out[:, self.covered(geom)] = batched_predict(self.model, inputs)
+        return out
+
+
+class _SurrogatePredictor(_ModelPredictor):
+    """One SurrogateNet fed measured readings: ``columns(geom)`` names the
+    (input, output) columns of the 172-wide readings vector.
 
     ``predict_readings`` maps an (N, 172) readings matrix to (N, 172)
-    predictions, NaN outside the output columns; ``predict`` runs it on
-    the frames' readings, so frame and matrix callers share one path.
+    predictions through the same inputs and fill as ``predict``, so
+    ``infer`` serves what ``eval`` scores.
     """
 
     def covered(self, geom: CoreGeometry) -> np.ndarray:
         return self.columns(geom)[1]
 
-    def predict(self, frames, geom: CoreGeometry) -> np.ndarray:
-        return self.predict_readings(np.stack([f.readings for f in frames]), geom)
+    def model_inputs(self, frames, readings: np.ndarray, geom: CoreGeometry) -> dict:
+        return {"x": readings[:, self.columns(geom)[0]]}
 
     def predict_readings(self, readings: np.ndarray, geom: CoreGeometry) -> np.ndarray:
-        inputs, outputs = self.columns(geom)
-        out = np.full(readings.shape, np.nan, dtype=np.float32)
-        out[:, outputs] = batched_predict(self.model, {"x": readings[:, inputs]})
-        return out
+        return self._fill(len(readings), geom, self.model_inputs(None, readings, geom))
 
 
 class SetSurrogatePredictor(_SurrogatePredictor):
@@ -84,12 +105,12 @@ class AxisDetectorPredictor(_SurrogatePredictor):
         self.target = target
 
     def columns(self, geom: CoreGeometry) -> tuple[np.ndarray, np.ndarray]:
-        idx = geom.detector_index(self.target)
+        idx = geom.axis_detector_index(self.target)
         return (np.delete(np.arange(geom.detector_count, dtype=np.intp), idx),
                 np.array([idx], dtype=np.intp))
 
 
-class LprmNetPredictor:
+class LprmNetPredictor(_ModelPredictor):
     """One LprmNet: predicts its target detector from the core state."""
 
     def __init__(self, model: LprmNet, target: DetectorId):
@@ -99,11 +120,8 @@ class LprmNetPredictor:
     def covered(self, geom: CoreGeometry) -> np.ndarray:
         return np.array([geom.detector_index(self.target)], dtype=np.intp)
 
-    def predict(self, frames, geom: CoreGeometry) -> np.ndarray:
-        frames = list(frames)
-        out = np.full((len(frames), geom.detector_count), np.nan, dtype=np.float32)
-        out[:, self.covered(geom)] = batched_predict(self.model, corestate_batch(frames))
-        return out
+    def model_inputs(self, frames, readings: np.ndarray, geom: CoreGeometry) -> dict:
+        return corestate_batch(frames)
 
 
 class CompositePredictor:
@@ -165,23 +183,8 @@ class RmseReport:
             out["reference"] = {k: vars(v) for k, v in self.reference.items()}
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RmseReport":
-        ref = data.get("reference")
-        return cls(
-            per_detector=dict(data["per_detector"]),
-            groups={k: GroupStats(**v) for k, v in data["groups"].items()},
-            percent_error=data["percent_error"],
-            reference=None if ref is None else {k: GroupStats(**v) for k, v in ref.items()},
-        )
-
     def to_json(self, path) -> None:
         write_json(path, self.to_dict())
-
-    @classmethod
-    def from_json(cls, path) -> "RmseReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import AxialAttentionParams, axial_attention
 from .autodiff import RunningStats, Tensor
-from .coredata import CoreGeometry, DataError, DetectorId, read_blob, read_manifest, write_json
+from .coredata import DataError, read_blob, read_manifest, write_json
 
 CHECKPOINT_SCHEMA = 1
 
@@ -325,38 +325,6 @@ def corestate_batch(frames) -> dict[str, np.ndarray]:
         "rv": np.stack([f.state.rod_variable.transpose(2, 0, 1) for f in frames]),
         "scalars": np.stack([f.state.scalars() for f in frames]),
     }
-
-
-def surrogate_arrays(frames, geom: CoreGeometry, input_set: str = "A"):
-    """Reading matrices for a mirror-set model: inputs from one set,
-    targets from its partner set, both in canonical set order."""
-    if input_set not in ("A", "B"):
-        raise DataError(f"input set must be 'A' or 'B', got {input_set!r}")
-    output_set = "B" if input_set == "A" else "A"
-    readings = np.stack([f.readings for f in frames])
-    x = readings[:, geom.indices_for_set(input_set)]
-    y = readings[:, geom.indices_for_set(output_set)]
-    return x, y
-
-
-def axis_detector_arrays(frames, geom: CoreGeometry, target: DetectorId):
-    """Inputs (all other detectors) and target column for one axis detector."""
-    if geom.set_of_detector(target) != "C":
-        raise DataError(f"{target.code} is not on the symmetry axis")
-    readings = np.stack([f.readings for f in frames])
-    idx = geom.detector_index(target)
-    x = np.delete(readings, idx, axis=1)
-    y = readings[:, idx:idx + 1]
-    return x, y
-
-
-def lprmnet_arrays(frames, geom: CoreGeometry, target: DetectorId):
-    """Core-state input dict and the target detector's reading column."""
-    frames = list(frames)
-    inputs = corestate_batch(frames)
-    idx = geom.detector_index(target)
-    y = np.stack([f.readings[idx:idx + 1] for f in frames])
-    return inputs, y
 
 
 def center_output_bias(model: _NetworkBase, targets: np.ndarray) -> None:

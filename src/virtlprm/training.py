@@ -297,10 +297,3 @@ def history_to_csv(history: list[dict], path) -> None:
             writer.writerow([row["epoch"], repr(float(row["train_loss"])),
                              repr(float(row["val_loss"])), repr(float(row["lr"]))])
 
-
-def history_from_csv(path) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [{"epoch": int(r["epoch"]), "train_loss": float(r["train_loss"]),
-                 "val_loss": float(r["val_loss"]), "lr": float(r["lr"])}
-                for r in reader]

@@ -5,7 +5,8 @@ import pytest
 
 from virtlprm import coredata
 from virtlprm.coredata import default_geometry, filter_transients, split_surrogate
-from virtlprm.models import SurrogateNet, SurrogateSpec, surrogate_arrays
+from virtlprm.evaluation import SetSurrogatePredictor
+from virtlprm.models import SurrogateNet, SurrogateSpec
 from virtlprm.synthplant import PlantScenario, generate_cycle
 from virtlprm.training import DataSplit, TrainConfig, batched_predict, train
 
@@ -23,14 +24,14 @@ def trained_surrogate(session_geom):
     frames = generate_cycle(PlantScenario(cycle_id=1, frame_count=260, seed=777), geom)
     kept = filter_transients(frames)
     train_f, val_f, test_f = split_surrogate(kept, seed=5)
-    x_tr, y_tr = surrogate_arrays(train_f, geom, "A")
-    x_va, y_va = surrogate_arrays(val_f, geom, "A")
-
     model = SurrogateNet(SurrogateSpec(76, 76, (128,) * 6), seed=9)
+    predictor = SetSurrogatePredictor(model, "A")
+    x_tr, y_tr = predictor.training_arrays(train_f, geom)
+    x_va, y_va = predictor.training_arrays(val_f, geom)
     cfg = TrainConfig(max_lr=0.005, epochs=250, batch_size=32, seed=11, bypass_p=0.2)
-    result = train(model, DataSplit({"x": x_tr}, y_tr, {"x": x_va}, y_va), cfg)
+    result = train(model, DataSplit(x_tr, y_tr, x_va, y_va), cfg)
 
-    pred_val = batched_predict(model, {"x": x_va})
+    pred_val = batched_predict(model, x_va)
     return {
         "geom": geom,
         "model": model,

@@ -31,6 +31,7 @@ from virtlprm.coredata import (
     split_surrogate,
 )
 from virtlprm.evaluation import (
+    LprmNetPredictor,
     OraclePredictor,
     SetSurrogatePredictor,
     VirtualSensor,
@@ -42,8 +43,6 @@ from virtlprm.models import (
     SurrogateNet,
     SurrogateSpec,
     center_output_bias,
-    lprmnet_arrays,
-    surrogate_arrays,
 )
 from virtlprm.synthplant import PlantScenario, generate_cycle, generate_plant
 from virtlprm.training import (
@@ -145,11 +144,11 @@ def _train_lprmnet_for(code: str):
                                noise_sigma=0.01) for c in (1, 2, 3)]
     kept = filter_transients(generate_plant(scenarios, geom))
     train_f, val_f, test_f = split_holdout_cycle(kept, holdout_cycle=2, seed=17)
-    target = DetectorId.parse(code)
-    in_tr, y_tr = lprmnet_arrays(train_f, geom, target)
-    in_va, y_va = lprmnet_arrays(val_f, geom, target)
-    in_te, y_te = lprmnet_arrays(test_f, geom, target)
     model = LprmNet(LprmNetSpec(**C8_LPRMNET_SPEC), seed=11)
+    predictor = LprmNetPredictor(model, DetectorId.parse(code))
+    in_tr, y_tr = predictor.training_arrays(train_f, geom)
+    in_va, y_va = predictor.training_arrays(val_f, geom)
+    in_te, y_te = predictor.training_arrays(test_f, geom)
     center_output_bias(model, y_tr)
     train(model, DataSplit(in_tr, y_tr, in_va, y_va), TrainConfig(**C8_LPRMNET_CFG))
     pred = batched_predict(model, in_te)
@@ -446,14 +445,15 @@ class TestCriterion8EndToEndConvergence:
 
         # Mirror-set surrogate under the shuffled 70/20/10 protocol.
         tr_f, va_f, te_f = split_surrogate(c8_frames, seed=17)
-        x_tr, y_tr = surrogate_arrays(tr_f, geom, "A")
-        x_va, y_va = surrogate_arrays(va_f, geom, "A")
-        x_te, y_te = surrogate_arrays(te_f, geom, "A")
         model = SurrogateNet(SurrogateSpec(76, 76, (128,) * 6), seed=9)
+        predictor = SetSurrogatePredictor(model, "A")
+        x_tr, y_tr = predictor.training_arrays(tr_f, geom)
+        x_va, y_va = predictor.training_arrays(va_f, geom)
+        x_te, y_te = predictor.training_arrays(te_f, geom)
         cfg = TrainConfig(max_lr=0.005, epochs=60, batch_size=64, seed=11,
                           bypass_p=0.2)
-        train(model, DataSplit({"x": x_tr}, y_tr, {"x": x_va}, y_va), cfg)
-        pred = batched_predict(model, {"x": x_te})
+        train(model, DataSplit(x_tr, y_tr, x_va, y_va), cfg)
+        pred = batched_predict(model, x_te)
         surr_rmse = float(np.sqrt(np.mean((pred - y_te) ** 2)))
         surr_base = float(np.sqrt(np.mean((y_tr.mean(axis=0) - y_te) ** 2)))
         surr_ratio = surr_rmse / surr_base
@@ -501,15 +501,16 @@ class TestCriterion9VirtualSensing:
         frames = filter_transients(generate_cycle(
             PlantScenario(cycle_id=1, frame_count=500, seed=606), geom))
         tr_f, va_f, te_f = split_surrogate(frames, seed=3)
-        x_tr, y_tr = surrogate_arrays(tr_f, geom, "B")
-        x_va, y_va = surrogate_arrays(va_f, geom, "B")
         model_ba = SurrogateNet(SurrogateSpec(76, 76, (128,) * 6), seed=4)
+        predictor = SetSurrogatePredictor(model_ba, "B")
+        x_tr, y_tr = predictor.training_arrays(tr_f, geom)
+        x_va, y_va = predictor.training_arrays(va_f, geom)
         cfg = TrainConfig(max_lr=0.005, epochs=120, batch_size=32, seed=6,
                           bypass_p=0.2)
-        train(model_ba, DataSplit({"x": x_tr}, y_tr, {"x": x_va}, y_va), cfg)
+        train(model_ba, DataSplit(x_tr, y_tr, x_va, y_va), cfg)
 
-        sigma = (batched_predict(model_ba, {"x": x_va}) - y_va).std(axis=0)
-        sensor = VirtualSensor(geom, [SetSurrogatePredictor(model_ba, "B")])
+        sigma = (batched_predict(model_ba, x_va) - y_va).std(axis=0)
+        sensor = VirtualSensor(geom, [predictor])
         target = geom.detectors_in_set("A")[0]
         partner = geom.symmetry_partner(target)
         col = list(geom.detectors_in_set("A")).index(target)

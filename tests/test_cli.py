@@ -137,6 +137,29 @@ class TestGen:
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("gen", "seed", "x"), ("train", "seed", "abc"), ("train", "rated_power", "high")])
+def test_non_numeric_config_value_is_config_error(small_archive, tmp_path, monkeypatch,
+                                                  capsys, command, key, value):
+    fail_on_archive_read(monkeypatch)
+    if command == "gen":
+        cfg = write_gen_config(tmp_path / "g.json",
+                               [{"cycle_id": 1, "frame_count": 4, key: value}])
+        argv = ["gen", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    else:
+        cfg = train_config(tmp_path / "exp.json", small_archive, "surrogate-ab")
+        config = json.loads(cfg.read_text())
+        config[key] = value
+        cfg.write_text(json.dumps(config))
+        argv = ["train", "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and key in captured.err
+    assert repr(value) in captured.err
+    assert not (tmp_path / "run").exists()
+
+
 class TestTrain:
     def test_writes_checkpoint_and_history(self, trained_run):
         out = trained_run["out_dir"]
@@ -204,7 +227,8 @@ class TestTrain:
         assert "training split has 1 sample(s)" in captured.err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("key, value", [("bypass_mode", "per-sample"), ("beta1", 0.8)])
+    @pytest.mark.parametrize("key, value", [("bypass_mode", "per-sample"), ("beta1", 0.8),
+                                            ("seed", 9)])
     def test_fixed_recipe_key_is_config_error_before_reading(self, small_archive, tmp_path,
                                                              monkeypatch, capsys, key, value):
         fail_on_archive_read(monkeypatch)

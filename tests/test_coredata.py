@@ -105,6 +105,14 @@ class TestGeometry:
         with pytest.raises(DataError):
             geom.symmetry_partner(DetectorId(44, "A"))
 
+    def test_axis_detector_index(self, geom):
+        for d in geom.detectors_in_set("C"):
+            assert geom.axis_detector_index(d) == geom.detector_index(d)
+        with pytest.raises(DataError, match="not on the symmetry axis"):
+            geom.axis_detector_index(DetectorId(1, "A"))
+        with pytest.raises(DataError, match="unknown detector"):
+            geom.axis_detector_index(DetectorId(44, "A"))
+
     def test_layout_round_trip(self, geom, tmp_path):
         path = tmp_path / "layout.json"
         path.write_text(json.dumps(geom.to_layout()))

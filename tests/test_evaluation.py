@@ -1,9 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from virtlprm.coredata import DetectorId, LprmFrame
+from virtlprm.coredata import DataError, DetectorId, LprmFrame
 from virtlprm.evaluation import (
     AxisDetectorPredictor,
     CompositePredictor,
@@ -11,21 +12,24 @@ from virtlprm.evaluation import (
     DriftReport,
     LprmNetPredictor,
     OraclePredictor,
-    RmseReport,
     SetSurrogatePredictor,
     VirtualSensor,
     drift_report,
     rmse_report,
 )
 from virtlprm.models import (
+    LprmNet,
+    LprmNetSpec,
     SurrogateNet,
     SurrogateSpec,
-    axis_detector_arrays,
     axis_surrogate_spec,
-    surrogate_arrays,
+    corestate_batch,
 )
 from virtlprm.synthplant import PlantScenario, generate_cycle
 from virtlprm.training import batched_predict
+
+SMALL_LPRMNET = LprmNetSpec(conv_channels=2, trunk_hidden=8, trunk_out=4,
+                            scalar_hidden=4, scalar_out=4, regression_hidden=4)
 
 
 @pytest.fixture(scope="module")
@@ -89,12 +93,9 @@ class TestRmseReport:
         assert report.reference["overall"].mean_rmse == pytest.approx(0.4, rel=1e-4)
 
     def test_partial_coverage_via_lprmnet_predictor(self, session_geom, clean_frames):
-        spec_kwargs = dict(conv_channels=2, trunk_hidden=8, trunk_out=4,
-                           scalar_hidden=4, scalar_out=4, regression_hidden=4)
-        from virtlprm.models import LprmNet, LprmNetSpec
         predictor = CompositePredictor([
-            LprmNetPredictor(LprmNet(LprmNetSpec(**spec_kwargs), seed=0), DetectorId(1, "A")),
-            LprmNetPredictor(LprmNet(LprmNetSpec(**spec_kwargs), seed=1), DetectorId(7, "C"))])
+            LprmNetPredictor(LprmNet(SMALL_LPRMNET, seed=0), DetectorId(1, "A")),
+            LprmNetPredictor(LprmNet(SMALL_LPRMNET, seed=1), DetectorId(7, "C"))])
         report = rmse_report(predictor, clean_frames[:6], session_geom)
         assert report.groups["overall"].detector_count == 2
         assert set(report.per_detector) == {"1A", "7C"}
@@ -107,9 +108,9 @@ class TestRmseReport:
         report = rmse_report(OffsetOracle(1.0 / 3.0), clean_frames, session_geom,
                              reference=OffsetOracle(0.7))
         report.to_json(tmp_path / "r.json")
-        again = RmseReport.from_json(tmp_path / "r.json")
-        assert again.to_dict() == report.to_dict()
-        again.to_json(tmp_path / "r2.json")
+        with open(tmp_path / "r.json", encoding="utf-8") as fh:
+            assert json.load(fh) == report.to_dict()
+        report.to_json(tmp_path / "r2.json")
         assert (tmp_path / "r.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
 
     def test_csv_layout(self, session_geom, clean_frames, tmp_path):
@@ -282,26 +283,53 @@ class TestPairedPredictor:
 
 
 class TestReadingsPredictorColumns:
-    """A readings predictor feeds its model exactly the columns its training
-    arrays hold, and fills only the columns its model predicts."""
+    """A model predictor feeds its model exactly the inputs its training
+    arrays hold, and fills only the columns its training targets hold."""
 
-    @pytest.mark.parametrize("kind", ["surrogate-ab", "surrogate-ba", "cset"])
+    @staticmethod
+    def model_predictor(kind, geom):
+        if kind == "cset":
+            model = SurrogateNet(axis_surrogate_spec(hidden=8), seed=3)
+            return AxisDetectorPredictor(model, geom.detectors_in_set("C")[4])
+        if kind == "lprmnet":
+            return LprmNetPredictor(LprmNet(SMALL_LPRMNET, seed=3), DetectorId(2, "B"))
+        model = SurrogateNet(SurrogateSpec(76, 76, (8,) * 6), seed=3)
+        return SetSurrogatePredictor(model, kind[-2].upper())
+
+    @pytest.mark.parametrize("kind", ["surrogate-ab", "surrogate-ba", "cset", "lprmnet"])
     def test_predict_readings_matches_training_inputs(self, session_geom, clean_frames, kind):
         geom = session_geom
-        if kind == "cset":
-            target = geom.detectors_in_set("C")[4]
-            model = SurrogateNet(axis_surrogate_spec(hidden=8), seed=3)
-            predictor = AxisDetectorPredictor(model, target)
-            x, _ = axis_detector_arrays(clean_frames, geom, target)
-            outputs = np.array([geom.detector_index(target)])
+        predictor = self.model_predictor(kind, geom)
+        readings = np.stack([f.readings for f in clean_frames])
+        if kind == "lprmnet":
+            outputs = np.array([geom.detector_index(predictor.target)])
+            want_inputs = corestate_batch(clean_frames)
+        elif kind == "cset":
+            outputs = np.array([geom.detector_index(predictor.target)])
+            want_inputs = {"x": np.delete(readings, outputs, axis=1)}
         else:
-            input_set = kind[-2].upper()
-            model = SurrogateNet(SurrogateSpec(76, 76, (8,) * 6), seed=3)
-            predictor = SetSurrogatePredictor(model, input_set)
-            x, _ = surrogate_arrays(clean_frames, geom, input_set)
             outputs = geom.indices_for_set(predictor.output_set)
-        got = predictor.predict_readings(np.stack([f.readings for f in clean_frames]), geom)
-        want = batched_predict(model, {"x": x})
+            want_inputs = {"x": readings[:, geom.indices_for_set(predictor.input_set)]}
+        inputs, targets = predictor.training_arrays(clean_frames, geom)
+        assert inputs.keys() == want_inputs.keys()
+        for key, value in want_inputs.items():
+            np.testing.assert_array_equal(inputs[key], value)
         np.testing.assert_array_equal(predictor.covered(geom), outputs)
+        np.testing.assert_array_equal(targets, readings[:, outputs])
+
+        got = predictor.predict(clean_frames, geom)
+        want = batched_predict(predictor.model, inputs)
         assert np.array_equal(got[:, outputs].view(np.uint32), want.view(np.uint32))
         assert np.all(np.isnan(np.delete(got, outputs, axis=1)))
+        if kind != "lprmnet":
+            served = predictor.predict_readings(readings, geom)
+            assert np.array_equal(served.view(np.uint32), got.view(np.uint32))
+
+    def test_axis_predictor_rejects_paired_target(self, session_geom, clean_frames):
+        model = SurrogateNet(axis_surrogate_spec(hidden=8), seed=3)
+        predictor = AxisDetectorPredictor(model, DetectorId(1, "A"))
+        readings = np.stack([f.readings for f in clean_frames])
+        for serve in (lambda: predictor.predict(clean_frames, session_geom),
+                      lambda: predictor.predict_readings(readings, session_geom)):
+            with pytest.raises(DataError, match="symmetry axis"):
+                serve()

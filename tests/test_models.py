@@ -6,19 +6,17 @@ import pytest
 from virtlprm import autodiff as ad
 from virtlprm.autodiff import Tensor, grad_check
 from virtlprm.coredata import DataError, DetectorId, default_geometry
+from virtlprm.evaluation import AxisDetectorPredictor, LprmNetPredictor, SetSurrogatePredictor
 from virtlprm.models import (
     LprmNet,
     LprmNetSpec,
     SurrogateNet,
     SurrogateSpec,
-    axis_detector_arrays,
     axis_surrogate_spec,
     corestate_batch,
     load_checkpoint,
-    lprmnet_arrays,
     paired_surrogate_spec,
     save_checkpoint,
-    surrogate_arrays,
 )
 from virtlprm.synthplant import PlantScenario, generate_cycle
 from virtlprm.training import batched_predict
@@ -236,9 +234,22 @@ class TestLprmNet:
         np.testing.assert_array_equal(a, b)
 
 
+def mirror_set_arrays(frames, geom, input_set):
+    """The training arrays of a small mirror-set model fed ``input_set``."""
+    model = SurrogateNet(SurrogateSpec(76, 76, (8,) * 6), seed=0)
+    inputs, y = SetSurrogatePredictor(model, input_set).training_arrays(frames, geom)
+    return inputs["x"], y
+
+
+def axis_predictor(target):
+    return AxisDetectorPredictor(SurrogateNet(axis_surrogate_spec(hidden=8), seed=0), target)
+
+
 class TestDatasetAssembly:
+    """Each model's training arrays come from the predictor that serves it."""
+
     def test_surrogate_arrays_shapes_and_alignment(self, geom, frames):
-        x, y = surrogate_arrays(frames, geom, input_set="A")
+        x, y = mirror_set_arrays(frames, geom, "A")
         assert x.shape == (len(frames), 76)
         assert y.shape == (len(frames), 76)
         a_set = geom.detectors_in_set("A")
@@ -246,22 +257,25 @@ class TestDatasetAssembly:
         np.testing.assert_array_equal(x[:, 0], np.stack([f.readings[idx0] for f in frames]))
 
     def test_surrogate_arrays_reversed(self, geom, frames):
-        x_ab, y_ab = surrogate_arrays(frames, geom, "A")
-        x_ba, y_ba = surrogate_arrays(frames, geom, "B")
+        x_ab, y_ab = mirror_set_arrays(frames, geom, "A")
+        x_ba, y_ba = mirror_set_arrays(frames, geom, "B")
         np.testing.assert_array_equal(x_ab, y_ba)
         np.testing.assert_array_equal(y_ab, x_ba)
 
     def test_axis_detector_arrays(self, geom, frames):
         target = geom.detectors_in_set("C")[0]
-        x, y = axis_detector_arrays(frames, geom, target)
+        inputs, y = axis_predictor(target).training_arrays(frames, geom)
+        x = inputs["x"]
         assert x.shape == (len(frames), 171)
         assert y.shape == (len(frames), 1)
         idx = geom.detector_index(target)
         np.testing.assert_array_equal(y[:, 0], np.stack([f.readings[idx] for f in frames]))
+        np.testing.assert_array_equal(x, np.delete(np.stack([f.readings for f in frames]),
+                                                   idx, axis=1))
 
     def test_axis_detector_rejects_paired_target(self, geom, frames):
-        with pytest.raises(DataError):
-            axis_detector_arrays(frames, geom, DetectorId(1, "A"))
+        with pytest.raises(DataError, match="symmetry axis"):
+            axis_predictor(DetectorId(1, "A")).training_arrays(frames, geom)
 
     def test_corestate_batch_layout(self, frames):
         batch = corestate_batch(frames[:3])
@@ -273,7 +287,11 @@ class TestDatasetAssembly:
 
     def test_lprmnet_arrays(self, geom, frames):
         target = DetectorId(2, "B")
-        inputs, y = lprmnet_arrays(frames, geom, target)
+        model = LprmNet(LprmNetSpec(conv_channels=2, trunk_hidden=8, trunk_out=4,
+                                    scalar_hidden=4, scalar_out=4, regression_hidden=4), seed=0)
+        inputs, y = LprmNetPredictor(model, target).training_arrays(frames, geom)
+        for key, value in corestate_batch(frames).items():
+            np.testing.assert_array_equal(inputs[key], value)
         assert y.shape == (len(frames), 1)
         idx = geom.detector_index(target)
         np.testing.assert_array_equal(y[:, 0], np.stack([f.readings[idx] for f in frames]))

@@ -1,9 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
 from virtlprm import autodiff as ad
 from virtlprm.autodiff import Tensor
-from virtlprm.models import SurrogateNet, SurrogateSpec, surrogate_arrays, _NetworkBase
+from virtlprm.evaluation import SetSurrogatePredictor
+from virtlprm.models import SurrogateNet, SurrogateSpec, _NetworkBase
 from virtlprm.synthplant import PlantScenario, generate_cycle
 from virtlprm.training import (
     ADAMW_BLOCK,
@@ -13,7 +16,6 @@ from virtlprm.training import (
     TrainConfig,
     adamw_step,
     batched_predict,
-    history_from_csv,
     history_to_csv,
     one_cycle_lr,
     train,
@@ -279,13 +281,13 @@ class TestTrainLoop:
         model = trained_surrogate["model"]
         recorded = min(h["val_loss"] for h in result.history)
         assert result.best_val_loss == recorded
-        pred = batched_predict(model, {"x": trained_surrogate["val_inputs"]})
+        pred = batched_predict(model, trained_surrogate["val_inputs"])
         actual = float(np.mean((pred - trained_surrogate["val_targets"]) ** 2))
         assert actual == pytest.approx(result.best_val_loss, rel=1e-6)
 
     def test_surrogate_beats_mean_predictor_by_4x(self, trained_surrogate):
         pred = batched_predict(trained_surrogate["model"],
-                               {"x": trained_surrogate["val_inputs"]})
+                               trained_surrogate["val_inputs"])
         rmse = float(np.sqrt(np.mean((pred - trained_surrogate["val_targets"]) ** 2)))
         mean_pred = trained_surrogate["train_targets"].mean(axis=0)
         baseline = float(np.sqrt(np.mean((mean_pred - trained_surrogate["val_targets"]) ** 2)))
@@ -304,11 +306,12 @@ class TestTrainLoop:
     def test_bypass_augmentation_changes_training(self, session_geom):
         geom = session_geom
         frames = generate_cycle(PlantScenario(cycle_id=1, frame_count=40, seed=55), geom)
-        x, y = surrogate_arrays(frames, geom, "A")
-        data = DataSplit({"x": x[:30]}, y[:30], {"x": x[30:]}, y[30:])
 
         def run(p):
             model = SurrogateNet(SurrogateSpec(76, 76, (8,) * 6), seed=1)
+            predictor = SetSurrogatePredictor(model, "A")
+            data = DataSplit(*predictor.training_arrays(frames[:30], geom),
+                             *predictor.training_arrays(frames[30:], geom))
             cfg = TrainConfig(max_lr=0.005, epochs=2, batch_size=16, seed=3, bypass_p=p)
             return train(model, data, cfg).history
 
@@ -334,7 +337,10 @@ class TestHistoryCsv:
         history_to_csv(history, tmp_path / "h1.csv")
         history_to_csv(history, tmp_path / "h2.csv")
         assert (tmp_path / "h1.csv").read_bytes() == (tmp_path / "h2.csv").read_bytes()
-        back = history_from_csv(tmp_path / "h1.csv")
+        with open(tmp_path / "h1.csv", encoding="utf-8", newline="") as fh:
+            back = [{"epoch": int(r["epoch"]), "train_loss": float(r["train_loss"]),
+                     "val_loss": float(r["val_loss"]), "lr": float(r["lr"])}
+                    for r in csv.DictReader(fh)]
         assert back == history
 
     def test_header_layout(self, tmp_path):
