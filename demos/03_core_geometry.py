@@ -42,7 +42,8 @@ rv = derive_rod_variable(rod_pattern, depletion)
 print("\nrod variable at the half-inserted location:")
 print(" ", np.round(rv[10, 10], 2))
 
-# Synthetic frames stand in for plant data below.
+# Synthetic frames stand in for plant data below. A frame table holds one
+# column per field, one row per frame; filtering and splitting select rows.
 frames = generate_plant([
     PlantScenario(cycle_id=21, frame_count=300, seed=5, noise_sigma=0.01),
     PlantScenario(cycle_id=22, frame_count=200, seed=5, noise_sigma=0.01),
@@ -55,13 +56,13 @@ train, val, test = split_surrogate(kept, seed=0)
 print(f"shuffled split: {len(train)} train / {len(val)} val / {len(test)} test")
 
 train, val, test = split_holdout_cycle(kept, holdout_cycle=22, seed=0)
-leaked = sum(1 for f in train if f.cycle_id == 22)
+leaked = int((train.cycles == 22).sum())
 print(f"cycle-22 holdout: {len(train)} train ({leaked} from the held-out cycle), "
       f"{len(val)} val / {len(test)} test from cycle 22")
 
 # Training-time robustness: detector inputs are randomly zeroed the same
 # way bypassed instruments read zero in production.
-readings = kept[0].readings[geom.indices_for_set("A")]
+readings = kept.readings[0, geom.indices_for_set("A")]
 zeroed = bypass_augment(readings, p=0.2, rng=np.random.default_rng(7))
 print(f"\nbypass augmentation dropped {int((zeroed == 0).sum())} of "
       f"{len(zeroed)} inputs at p=0.2")

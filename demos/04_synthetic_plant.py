@@ -7,54 +7,58 @@ from pathlib import Path
 
 import numpy as np
 
-from virtlprm.coredata import default_geometry, load_archive, save_archive
-from virtlprm.synthplant import PlantScenario, generate_cycle, lprm_response_oracle
+from virtlprm.coredata import ARCHIVE_FIELDS, default_geometry, load_archive, save_archive
+from virtlprm.synthplant import PlantScenario, generate_cycle, oracle_readings
 
 geom = default_geometry()
+
+# A cycle is a frame table: the (N, 172) readings plus one column per
+# core-state field, each with the frame as its first axis.
+frames = generate_cycle(PlantScenario(cycle_id=1, frame_count=120, seed=42), geom)
+print("columns:", ", ".join(f"{name} {frames.column(name).shape}" for name in ARCHIVE_FIELDS))
 
 # A perfectly symmetric, noiseless cycle: mirror partners read identically,
 # to the last bit, because the response kernel accumulates mirrored window
 # terms through commutative pair sums.
-frames = generate_cycle(PlantScenario(cycle_id=1, frame_count=120, seed=42), geom)
-frame = frames[60]
+readings = frames.readings[60]
 worst = 0.0
 for d in geom.detectors:
     p = geom.symmetry_partner(d)
     if p is not None:
-        delta = abs(float(frame.readings[geom.detector_index(d)])
-                    - float(frame.readings[geom.detector_index(p)]))
+        delta = abs(float(readings[geom.detector_index(d)])
+                    - float(readings[geom.detector_index(p)]))
         worst = max(worst, delta)
 print(f"max partner reading difference on a symmetric frame: {worst}")
 
 # Depletion only accumulates; thermal power occasionally dips below the
 # 90% transient threshold so the filtering stage has something to do.
-nbd = np.stack([f.rod_inputs.nodal_blade_depletion for f in frames])
+nbd = frames.column("nbd")
 print("blade depletion monotone non-decreasing:", bool(np.all(np.diff(nbd, axis=0) >= 0)))
-tp = np.array([f.state.thermal_power for f in frames])
+tp = frames.thermal_power
 print(f"thermal power range: {tp.min():.3f} .. {tp.max():.3f}")
 
-# The oracle is linear in nodal power and scales with thermal power.
-state = frames[0].state
-base = lprm_response_oracle(state, geom)
-state.nodal_power = state.nodal_power * 2.0
+# The oracle reads whole columns. It is linear in nodal power and scales
+# with thermal power.
+nodal_power, rod_variable = frames.column("np"), frames.column("rv")
+base = oracle_readings(nodal_power, rod_variable, tp, geom)
+print("the oracle reproduces the noiseless readings:", bool(np.array_equal(base, frames.readings)))
 print("doubling nodal power doubles readings:",
-      bool(np.array_equal(lprm_response_oracle(state, geom), 2.0 * base)))
-state.nodal_power = state.nodal_power / 2.0
+      bool(np.array_equal(oracle_readings(2.0 * nodal_power, rod_variable, tp, geom), 2.0 * base)))
 
 # Measurement imperfections on demand: multiplicative noise and a slow
 # sensitivity decay for selected detectors.
 noisy = generate_cycle(PlantScenario(cycle_id=2, frame_count=200, seed=42,
                                      noise_sigma=0.01, drift_rate=0.001), geom)
-ratios = [float(np.median(f.readings / lprm_response_oracle(f.state, geom)))
-          for f in (noisy[0], noisy[100], noisy[199])]
-print("reading/oracle sensitivity over the cycle:", [round(r, 4) for r in ratios])
+ratio = noisy.readings / oracle_readings(noisy.column("np"), noisy.column("rv"),
+                                         noisy.thermal_power, geom)
+print("reading/oracle sensitivity over the cycle:",
+      [round(float(np.median(ratio[t])), 4) for t in (0, 100, 199)])
 
-# Frames round-trip bit-exactly through the archive format.
+# Frames round-trip bit-exactly through the archive format: one blob per
+# column, written straight from it.
 with tempfile.TemporaryDirectory() as tmp:
     save_archive(frames, Path(tmp) / "arch")
     again = load_archive(Path(tmp) / "arch")
-    ok = all(np.array_equal(a.readings, b.readings)
-             and np.array_equal(a.state.nodal_power, b.state.nodal_power)
-             for a, b in zip(frames, again))
+    ok = all(np.array_equal(frames.column(name), again.column(name)) for name in ARCHIVE_FIELDS)
     size = sum(f.stat().st_size for f in (Path(tmp) / "arch").iterdir())
     print(f"archive round-trip bit-exact: {ok} ({size / 1e6:.1f} MB for {len(frames)} frames)")

@@ -24,6 +24,9 @@ frames = generate_cycle(PlantScenario(
 
 after = (1.0 - 0.001) ** 499
 print(f"after 500 frames a drifting detector reads {after:.1%} of its true value")
+col = geom.detector_index(DetectorId.parse("2A"))
+print(f"2A measured, first and last frame: {frames.readings[0, col]:.4f}, "
+      f"{frames.readings[-1, col]:.4f}")
 
 # Residuals (measured minus predicted) are fitted against time per
 # detector; a detector whose fitted residual at the latest frame exceeds

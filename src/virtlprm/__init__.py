@@ -37,12 +37,10 @@ from .attention import (
 )
 from .coredata import (
     CoreGeometry,
-    CoreState,
     DataError,
     DetectorId,
+    FrameTable,
     GeometryError,
-    LprmFrame,
-    RodInputs,
     bypass_augment,
     default_geometry,
     derive_rod_variable,
@@ -81,7 +79,6 @@ from .synthplant import (
     PlantScenario,
     generate_cycle,
     generate_plant,
-    lprm_response_oracle,
     oracle_readings,
 )
 from .training import (

@@ -165,12 +165,6 @@ class Graph:
                         stack.append((inp, False))
         return cls(order)
 
-    def __len__(self):
-        return len(self.tensors)
-
-    def __contains__(self, t: Tensor):
-        return any(x is t for x in self.tensors)
-
 
 def backward(graph: Graph, loss: Tensor) -> None:
     """Propagate gradients of a scalar loss back through a traced graph.
@@ -184,8 +178,8 @@ def backward(graph: Graph, loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
-    if loss not in graph:
-        raise ValueError("loss tensor is not part of the supplied graph")
+    if not graph.tensors or graph.tensors[-1] is not loss:  # ``trace`` puts its root last
+        raise ValueError("loss tensor is not the root of the supplied graph")
     if not loss.requires_grad:
         return
     seed = np.ones_like(loss.data)

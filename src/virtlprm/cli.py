@@ -85,6 +85,8 @@ def _load_json(path, what: str) -> dict:
 def _resolve_geometry(spec):
     if spec in (None, "default"):
         return default_geometry()
+    if not isinstance(spec, str):
+        raise ConfigError(f"geometry must be 'default' or a layout path, got {spec!r}")
     return load_geometry(_existing(spec, "geometry layout"))
 
 
@@ -108,10 +110,12 @@ def _parse_bypass_list(text: str):
 
 def _scenarios_from_config(config: dict):
     cycles = config.get("cycles")
-    if not cycles:
-        raise ConfigError("generation config needs a non-empty 'cycles' list")
+    if not cycles or not isinstance(cycles, list):
+        raise ConfigError(f"generation config needs a non-empty 'cycles' list, got {cycles!r}")
     scenarios = []
     for entry in cycles:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"'cycles' entry {entry!r} is not an object")
         try:
             drift = entry.get("drift_detectors")
             scenarios.append(PlantScenario(
@@ -140,11 +144,11 @@ def cmd_gen(args) -> int:
     frames = generate_plant(scenarios, geom)
     save_archive(frames, args.out)
     print(f"wrote {len(frames)} frames to {args.out}")
+    below = frames.thermal_power < 0.9  # at the column's float32 precision
     for s in scenarios:
-        cycle_frames = [f for f in frames if f.cycle_id == s.cycle_id]
-        below = sum(1 for f in cycle_frames if f.state.thermal_power < 0.9)
-        print(f"  cycle {s.cycle_id}: {len(cycle_frames)} frames, "
-              f"{below} below 90% rated power")
+        in_cycle = frames.cycles == s.cycle_id
+        print(f"  cycle {s.cycle_id}: {in_cycle.sum()} frames, "
+              f"{(in_cycle & below).sum()} below 90% rated power")
     return EXIT_OK
 
 
@@ -210,18 +214,24 @@ def _parse_selector(selector, geom) -> tuple[_Role, object]:
 # train
 
 
-def _split_frames(frames, split_spec: str, seed: int):
-    """The (train, val, test) frames and the held-out cycle (None unless
-    ``split_spec`` is ``holdout:<cycle>``)."""
+def _holdout_cycle(split_spec):
+    """The held-out cycle of a ``holdout:<cycle>`` split spec, None for
+    ``surrogate``; any other spec is a ``ConfigError``."""
     if split_spec == "surrogate":
-        return split_surrogate(frames, seed=seed), None
-    if split_spec.startswith("holdout:"):
+        return None
+    if isinstance(split_spec, str) and split_spec.startswith("holdout:"):
         try:
-            cycle = int(split_spec.split(":", 1)[1])
+            return int(split_spec.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad holdout split spec {split_spec!r}") from None
-        return split_holdout_cycle(frames, holdout_cycle=cycle, seed=seed), cycle
     raise ConfigError(f"unknown split spec {split_spec!r}")
+
+
+def _split_frames(frames, cycle, seed: int):
+    """The (train, val, test) frames: held-out ``cycle``, or shuffled if it is None."""
+    if cycle is None:
+        return split_surrogate(frames, seed=seed)
+    return split_holdout_cycle(frames, holdout_cycle=cycle, seed=seed)
 
 
 def _train_config_from(config: dict, role: _Role, seed: int) -> TrainConfig:
@@ -253,11 +263,12 @@ def cmd_train(args) -> int:
         raise ConfigError(f"bad model_config for {selector!r}: {err}") from None
     predictor = role.predictor(model, target)
     cfg = _train_config_from(config, role, seed)
+    split_spec = config["split"]
+    cycle = _holdout_cycle(split_spec)
 
     frames = load_archive(_existing(config["archive"], "archive"))
     kept = filter_transients(frames, rated_power=rated_power)
-    split_spec = config["split"]
-    (train_f, val_f, test_f), cycle = _split_frames(kept, split_spec, seed)
+    train_f, val_f, test_f = _split_frames(kept, cycle, seed)
     x_tr, y_tr = predictor.training_arrays(train_f, geom)
     x_va, y_va = predictor.training_arrays(val_f, geom)
     data = DataSplit(x_tr, y_tr, x_va, y_va)  # checked before any print: a data error prints none
@@ -266,8 +277,7 @@ def cmd_train(args) -> int:
     print(f"split '{split_spec}': {len(train_f)} train / {len(val_f)} val / "
           f"{len(test_f)} test frames")
     if cycle is not None:
-        in_train = sum(1 for f in train_f if f.cycle_id == cycle)
-        print(f"frames from holdout cycle {cycle} in train: {in_train}")
+        print(f"frames from holdout cycle {cycle} in train: {(train_f.cycles == cycle).sum()}")
     if role.center_output:
         center_output_bias(model, y_tr)
     result = train(model, data, cfg)
@@ -319,12 +329,13 @@ def _combined_predictor(checkpoints, geom):
     return CompositePredictor([_predictor_for_checkpoint(p, geom) for p in checkpoints])
 
 
-def _frames_for_eval(args) -> list:
+def _frames_for_eval(args):
+    cycle = None if args.split == "none" else _holdout_cycle(args.split)
     frames = load_archive(_existing(args.archive, "archive"))
     kept = filter_transients(frames, rated_power=args.rated_power)
     if args.split == "none":
         return kept
-    (train_f, val_f, test_f), _ = _split_frames(kept, args.split, args.seed)
+    train_f, val_f, test_f = _split_frames(kept, cycle, args.seed)
     return {"train": train_f, "val": val_f, "test": test_f}[args.part]
 
 
@@ -355,10 +366,9 @@ def cmd_infer(args) -> int:
 
     # the readings, timestamps and bypass sets only: no core-state blob is read
     archive = load_archive(_existing(args.archive, "archive"))
-    readings, mask = sensor.infer_readings(archive.readings, archive.timestamps,
-                                           archive.bypassed, bypassed)
+    readings, mask = sensor.infer(archive, bypassed)
     codes = {}  # one code list per distinct mask row
-    for stamp, row, marked in zip(archive.timestamps, readings.tolist(), mask):
+    for stamp, row, marked in zip(archive.timestamps.tolist(), readings.tolist(), mask):
         key = marked.tobytes()
         if key not in codes:
             codes[key] = list(sensor.virtual_codes(marked))

@@ -1,5 +1,6 @@
-"""BWR core data model: detector geometry, derived rod features, frame
-filtering and splitting, and the on-disk frame archive format.
+"""BWR core data model: detector geometry, the columnar frame table,
+derived rod features, frame filtering and splitting, and the on-disk frame
+archive format.
 
 A large BWR core is modeled on a 30x30 radial grid with 25 axial power
 nodes and 24 axial rod nodes. 43 detector strings each hold four
@@ -10,9 +11,9 @@ sitting on the diagonal itself.
 
 from __future__ import annotations
 
+import copy
 import json
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -24,7 +25,7 @@ DETECTORS_PER_STRING = 4
 
 ARCHIVE_SCHEMA = 1
 ARCHIVE_FIELDS = ("np", "rv", "rp", "nbd", "scalars", "readings")
-CORE_STATE_FIELDS = ARCHIVE_FIELDS[:-1]  # read on first frame access
+CORE_STATE_FIELDS = ARCHIVE_FIELDS[:-1]  # read on first use
 SCALAR_FIELDS = ("thermal_power", "core_inlet_subcooling", "core_flow")
 
 
@@ -227,7 +228,7 @@ def default_geometry() -> CoreGeometry:
 
 
 # ---------------------------------------------------------------------------
-# statepoint containers
+# the frame table
 
 
 def _min_max(arr: np.ndarray) -> tuple:
@@ -242,83 +243,103 @@ def _check_unit_range(name: str, lo, hi):
         raise DataError(f"{name} must lie in [0, 1], got range [{lo:.4g}, {hi:.4g}]")
 
 
-@dataclass
-class RodInputs:
-    """Raw control-blade inputs: radial insertion fractions plus per-node
-    absorber depletion."""
-
-    rod_pattern: np.ndarray
-    nodal_blade_depletion: np.ndarray
-
-    def __post_init__(self):
-        self.rod_pattern = np.asarray(self.rod_pattern, dtype=np.float32)
-        self.nodal_blade_depletion = np.asarray(self.nodal_blade_depletion, dtype=np.float32)
-        if self.rod_pattern.ndim != 2 or self.nodal_blade_depletion.ndim != 3:
-            raise DataError(f"rod inputs need (H,W) and (H,W,D') arrays, got "
-                            f"{self.rod_pattern.shape} and {self.nodal_blade_depletion.shape}")
-        _check_unit_range("rod pattern", *_min_max(self.rod_pattern))
-        _check_unit_range("nodal blade depletion", *_min_max(self.nodal_blade_depletion))
+# Each core-state field: its name in messages, its dimensions (frames first:
+# (N, H, W, D), (N, H, W, D'), (N, H, W), (N, H, W, D'), (N, 3)), its valid
+# range and that range in words. No range holds a NaN or an infinity.
+_CORE_STATE = {
+    "np": ("nodal power", 4, 0.0, np.inf, "must be finite and non-negative"),
+    "rv": ("rod variable", 4, 0.0, 1.0, "must lie in [0, 1]"),
+    "rp": ("rod pattern", 3, 0.0, 1.0, "must lie in [0, 1]"),
+    "nbd": ("nodal blade depletion", 4, 0.0, 1.0, "must lie in [0, 1]"),
+    "scalars": ("scalars", 2, -np.inf, np.inf, "must be finite"),
+}
 
 
-@dataclass
-class CoreState:
-    """One statepoint: nodal power, the derived rod variable, and scalars."""
+def _check_core_state(columns: dict, timestamps: np.ndarray) -> None:
+    """The five core-state columns of the frames stamped ``timestamps`` share
+    their frame count and radial grid and lie in their ranges. A fault is a
+    ``DataError`` naming the field and the timestamp of its first bad frame.
 
-    nodal_power: np.ndarray
-    rod_variable: np.ndarray
-    thermal_power: float
-    core_inlet_subcooling: float
-    core_flow: float
-
-    def __post_init__(self):
-        self.nodal_power = np.asarray(self.nodal_power, dtype=np.float32)
-        self.rod_variable = np.asarray(self.rod_variable, dtype=np.float32)
-        if self.nodal_power.ndim != 3 or self.rod_variable.ndim != 3:
-            raise DataError("core state needs (H,W,D) power and (H,W,D') rod arrays")
-        if self.nodal_power.shape[:2] != self.rod_variable.shape[:2]:
-            raise DataError(f"radial grids differ: {self.nodal_power.shape} vs "
-                            f"{self.rod_variable.shape}")
-        # one min and one max per array; a NaN or an infinity shows in them
-        np_lo, np_hi = _min_max(self.nodal_power)
-        rv_lo, rv_hi = _min_max(self.rod_variable)
-        if not all(np.isfinite((np_lo, np_hi, rv_lo, rv_hi))):
-            raise DataError("core state arrays hold non-finite values")
-        if np_lo < 0.0:
-            raise DataError("nodal power must be non-negative")
-        _check_unit_range("rod variable", rv_lo, rv_hi)
-
-    def scalars(self) -> np.ndarray:
-        return np.array([self.thermal_power, self.core_inlet_subcooling, self.core_flow],
-                        dtype=np.float32)
+    Each column costs one min and one max; only a failing one is searched
+    frame by frame.
+    """
+    n = len(timestamps)
+    grid = columns["np"].shape[1:3]
+    for name, (label, ndim, low, high, rule) in _CORE_STATE.items():
+        col = columns[name]
+        lead = (n,) + grid if ndim > 2 else (n, len(SCALAR_FIELDS))
+        if col.ndim != ndim or col.shape[:len(lead)] != lead:
+            raise DataError(f"core-state field {name!r} has shape {col.shape}, expected "
+                            f"{ndim} dimensions starting {lead}")
+        lo, hi = _min_max(col)
+        if low <= lo and hi <= high and np.isfinite(lo) and np.isfinite(hi):
+            continue
+        rows = col.reshape(n, -1)
+        i = int(np.argmin(np.all(np.isfinite(rows) & (rows >= low) & (rows <= high), axis=1)))
+        lo, hi = rows[i].min(), rows[i].max()
+        got = (f"range [{lo:.4g}, {hi:.4g}]" if np.isfinite(lo) and np.isfinite(hi)
+               else "non-finite values")
+        raise DataError(f"{label} {rule}, got {got} (field {name!r}, first in the frame "
+                        f"at timestamp {timestamps[i]})")
 
 
-@dataclass
-class LprmFrame:
-    """A timestamped statepoint with its measured detector readings.
+class FrameTable:
+    """Frames as columns: row i of every column belongs to frame i.
 
-    ``readings`` is the canonical 172-wide vector; entries for bypassed
-    detectors are stored as zero.
+    Held from construction: ``readings``, the (N, 172) float32 matrix
+    (entries of bypassed detectors stored as zero), the (N,) int64
+    ``timestamps`` and ``cycles``, and ``bypassed``, an (N,) object array of
+    each frame's frozenset of ``DetectorId``.
+
+    The core-state columns (``CORE_STATE_FIELDS``) come from ``core``: the
+    five arrays by field name, checked here, or a function that returns one
+    field's whole column and reads and checks all five on its first call
+    (how ``load_archive`` defers them). ``column(name)`` returns a column;
+    ``take(rows)`` selects rows and copies a core-state column only when
+    ``column`` asks for it.
     """
 
-    timestamp: int
-    cycle_id: int
-    state: CoreState
-    readings: np.ndarray
-    bypassed: frozenset = field(default_factory=frozenset)
-    rod_inputs: RodInputs | None = None
+    def __init__(self, readings, timestamps, cycles, core, bypassed=None):
+        self.readings = np.asarray(readings, dtype=np.float32)
+        self.timestamps = np.asarray(timestamps, dtype=np.int64)
+        self.cycles = np.asarray(cycles, dtype=np.int64)
+        n = len(self.timestamps)
+        self.bypassed = np.empty(n, dtype=object)
+        self.bypassed[:] = [frozenset()] * n if bypassed is None else list(bypassed)
+        if self.readings.ndim != 2 or len(self.readings) != n or len(self.cycles) != n:
+            raise DataError(f"readings shaped {self.readings.shape} and {len(self.cycles)} "
+                            f"cycle ids for {n} timestamps")
+        if isinstance(core, dict):
+            columns = {name: np.asarray(core[name], dtype=np.float32)
+                       for name in CORE_STATE_FIELDS}
+            _check_core_state(columns, self.timestamps)
+            core = columns.__getitem__
+        self._core = core
+        self._rows = None  # the rows of ``_core``'s columns, None for all
 
-    def __post_init__(self):
-        self.readings = np.asarray(self.readings, dtype=np.float32)
-        if self.readings.ndim != 1:
-            raise DataError(f"readings must be a flat vector, got shape {self.readings.shape}")
-        self.bypassed = frozenset(self.bypassed)
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
-    def finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.readings)))
+    def column(self, name: str) -> np.ndarray:
+        """The column of archive field ``name``, one row per frame."""
+        if name == "readings":
+            return self.readings
+        col = self._core(name)
+        return col if self._rows is None else col[self._rows]
 
-    def apply_bypass(self, geom: CoreGeometry) -> None:
-        for d in self.bypassed:
-            self.readings[geom.detector_index(d)] = 0.0
+    @property
+    def thermal_power(self) -> np.ndarray:
+        """Each frame's thermal power, the first of its scalars."""
+        return self.column("scalars")[:, 0]
+
+    def take(self, rows) -> "FrameTable":
+        """The frames at ``rows`` (indices, a boolean mask or a slice), in that order."""
+        rows = np.arange(len(self))[rows]
+        out = copy.copy(self)
+        out.readings, out.timestamps = self.readings[rows], self.timestamps[rows]
+        out.cycles, out.bypassed = self.cycles[rows], self.bypassed[rows]
+        out._rows = rows if self._rows is None else self._rows[rows]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -351,71 +372,58 @@ def derive_rod_variable(rod_pattern: np.ndarray, nodal_blade_depletion: np.ndarr
 MEDIAN_RATIO = 5.0
 
 
-def filter_transients(frames, rated_power: float = 1.0):
+def filter_transients(table: FrameTable, rated_power: float = 1.0) -> FrameTable:
     """Drop startup/shutdown statepoints and frames with invalid readings.
 
     Keeps frames at or above 90% of rated thermal power whose readings are
     finite, non-negative, and no larger than ``MEDIAN_RATIO`` times that
-    detector's median within its cycle.
+    detector's median within its cycle; the medians include the frames
+    that are dropped.
     """
     if rated_power <= 0:
         raise DataError(f"rated power must be positive, got {rated_power}")
-    frames = list(frames)
-    threshold = 0.9 * rated_power
-
-    medians: dict[int, np.ndarray] = {}
-    for cycle in {f.cycle_id for f in frames}:
-        stack = np.stack([f.readings for f in frames if f.cycle_id == cycle])
+    readings = table.readings
+    over = np.zeros(len(table), dtype=bool)
+    for cycle in np.unique(table.cycles):
+        rows = table.cycles == cycle
+        stack = readings[rows]
         with np.errstate(invalid="ignore"):
-            medians[cycle] = np.nanmedian(np.where(np.isfinite(stack), stack, np.nan), axis=0)
-
-    kept = []
-    for f in frames:
-        if f.state.thermal_power < threshold:
-            continue
-        if not f.finite():
-            continue
-        if f.readings.min() < 0.0:
-            continue
-        med = medians[f.cycle_id]
+            med = np.nanmedian(np.where(np.isfinite(stack), stack, np.nan), axis=0)
         cap = np.where(np.isfinite(med) & (med > 0.0), MEDIAN_RATIO * med, np.inf)
-        if np.any(f.readings > cap):
-            continue
-        kept.append(f)
-    return kept
+        over[rows] = np.any(stack > cap, axis=1)
+    # thermal power is compared at its float32 precision, as the column holds it
+    keep = ((table.thermal_power >= np.float32(0.9 * rated_power))
+            & np.all(np.isfinite(readings), axis=1)
+            & np.all(readings >= 0.0, axis=1) & ~over)
+    return table.take(keep)
 
 
-def split_surrogate(frames, seed: int):
+def split_surrogate(table: FrameTable, seed: int):
     """Deterministic shuffled 70/20/10 train/validation/test partition."""
-    frames = list(frames)
-    n = len(frames)
+    n = len(table)
     if n < 10:
         raise DataError(f"need at least 10 frames to split, got {n}")
     order = np.random.default_rng(seed).permutation(n)
     n_train = int(0.7 * n)
     n_val = int(0.2 * n)
-    train = [frames[i] for i in order[:n_train]]
-    val = [frames[i] for i in order[n_train:n_train + n_val]]
-    test = [frames[i] for i in order[n_train + n_val:]]
-    return train, val, test
+    return (table.take(order[:n_train]), table.take(order[n_train:n_train + n_val]),
+            table.take(order[n_train + n_val:]))
 
 
-def split_holdout_cycle(frames, holdout_cycle: int, seed: int):
+def split_holdout_cycle(table: FrameTable, holdout_cycle: int, seed: int):
     """Train on every other cycle; split the held-out cycle 50/50 val/test,
     which needs at least 2 held-out frames."""
-    frames = list(frames)
-    holdout = [f for f in frames if f.cycle_id == holdout_cycle]
-    train = [f for f in frames if f.cycle_id != holdout_cycle]
+    held = table.cycles == holdout_cycle
+    holdout = np.flatnonzero(held)
     if len(holdout) < 2:
         raise DataError(f"holdout cycle {holdout_cycle} has {len(holdout)} frame(s); "
                         f"a validation and a test split need at least 2")
-    if not train:
+    if held.all():
         raise DataError("no frames outside the holdout cycle")
     order = np.random.default_rng(seed).permutation(len(holdout))
     half = len(holdout) // 2
-    val = [holdout[i] for i in order[:half]]
-    test = [holdout[i] for i in order[half:]]
-    return train, val, test
+    return (table.take(~held), table.take(holdout[order[:half]]),
+            table.take(holdout[order[half:]]))
 
 
 def bypass_augment(inputs: np.ndarray, p: float, rng) -> np.ndarray:
@@ -440,59 +448,31 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _frame_arrays(frame: LprmFrame) -> dict[str, np.ndarray]:
-    if frame.rod_inputs is None:
-        raise DataError("frames must carry rod inputs to be archived")
-    return {
-        "np": frame.state.nodal_power,
-        "rv": frame.state.rod_variable,
-        "rp": frame.rod_inputs.rod_pattern,
-        "nbd": frame.rod_inputs.nodal_blade_depletion,
-        "scalars": frame.state.scalars(),
-        "readings": frame.readings,
-    }
-
-
-def save_archive(frames, path) -> None:
-    """Write frames to a directory: manifest.json plus one flat f32le
-    binary per field, frames concatenated in manifest order."""
-    frames = list(frames)
-    if not frames:
-        raise DataError("cannot archive an empty frame sequence")
+def save_archive(table: FrameTable, path) -> None:
+    """Write a frame table to a directory: manifest.json plus one flat f32le
+    binary per field, each written once from its column."""
+    if not len(table):
+        raise DataError("cannot archive an empty frame table")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-
-    shapes = {name: list(arr.shape) for name, arr in _frame_arrays(frames[0]).items()}
-    buffers = {name: [] for name in ARCHIVE_FIELDS}
-    records = []
-    for f in frames:
-        arrays = _frame_arrays(f)
-        for name, arr in arrays.items():
-            if list(arr.shape) != shapes[name]:
-                raise DataError(f"frame at t={f.timestamp} has {name} shape {arr.shape}, "
-                                f"expected {shapes[name]}")
-            buffers[name].append(np.ascontiguousarray(arr, dtype="<f4"))
-        records.append({
-            "timestamp": int(f.timestamp),
-            "cycle": int(f.cycle_id),
-            "bypassed": sorted(d.code for d in f.bypassed),
-        })
-
-    manifest = {
+    shapes = {}
+    for name in ARCHIVE_FIELDS:
+        col = np.ascontiguousarray(table.column(name), dtype="<f4")
+        shapes[name] = list(col.shape[1:])
+        col.tofile(path / f"{name}.bin")
+    records = [{"timestamp": stamp, "cycle": cycle, "bypassed": sorted(d.code for d in marked)}
+               for stamp, cycle, marked in zip(table.timestamps.tolist(),
+                                               table.cycles.tolist(), table.bypassed)]
+    write_json(path / "manifest.json", {
         "format": "virtlprm-frames",
         "schema_version": ARCHIVE_SCHEMA,
         "dtype": "f32le",
-        "frame_count": len(frames),
-        "cycle_ids": sorted({f.cycle_id for f in frames}),
+        "frame_count": len(table),
+        "cycle_ids": sorted(set(table.cycles.tolist())),
         "shapes": shapes,
         "scalar_fields": list(SCALAR_FIELDS),
         "frames": records,
-    }
-    write_json(path / "manifest.json", manifest)
-    for name in ARCHIVE_FIELDS:
-        with open(path / f"{name}.bin", "wb") as fh:
-            for arr in buffers[name]:
-                fh.write(arr.tobytes())
+    })
 
 
 # the keys each manifest format must hold beyond its format, schema and dtype
@@ -552,70 +532,28 @@ def _check_blob_size(path: Path, name: str, shape: tuple, count: int) -> None:
         raise DataError(f"{name}.bin holds {size} bytes, expected {expected}")
 
 
-class FrameArchive(Sequence):
-    """The frames of an archive directory, as ``load_archive`` opens it.
+def _core_state_reader(path: Path, shapes: dict, timestamps: np.ndarray):
+    """A function returning one core-state column of the archive at ``path``:
+    its first call reads and checks all five blobs, later calls reuse them.
+    A failed read keeps nothing, so the next call reads again."""
+    columns = {}
 
-    Three columns are read at open: ``readings``, the (N, 172) float32
-    matrix, ``timestamps`` and ``bypassed`` (each frame's frozenset of
-    ``DetectorId``). The first access to a frame reads and checks the
-    core-state blobs, once for all frames; later accesses reuse those frames,
-    whose ``readings`` are rows of the same matrix.
-    """
-
-    def __init__(self, path: Path, shapes: dict, readings: np.ndarray, timestamps: list,
-                 cycles: list, bypassed: list):
-        self.readings = readings
-        self.timestamps = timestamps
-        self.bypassed = bypassed
-        self._cycles = cycles
-        self._path = path
-        self._shapes = shapes
-        self._frames = None
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    def __getitem__(self, index):
-        return self._read()[index]
-
-    def __iter__(self):
-        return iter(self._read())
-
-    def _read(self) -> list[LprmFrame]:
-        """Every frame; the first call reads the core-state blobs and checks each frame."""
-        if self._frames is not None:
-            return self._frames
-        arrays = {name: _read_field(self._path, name, self._shapes[name], len(self))
-                  for name in CORE_STATE_FIELDS}
-        frames = []
-        for i in range(len(self)):
-            scalars = arrays["scalars"][i]
-            state = CoreState(
-                nodal_power=arrays["np"][i],
-                rod_variable=arrays["rv"][i],
-                thermal_power=float(scalars[0]),
-                core_inlet_subcooling=float(scalars[1]),
-                core_flow=float(scalars[2]),
-            )
-            rod = RodInputs(rod_pattern=arrays["rp"][i], nodal_blade_depletion=arrays["nbd"][i])
-            frames.append(LprmFrame(
-                timestamp=self.timestamps[i],
-                cycle_id=self._cycles[i],
-                state=state,
-                readings=self.readings[i],
-                bypassed=self.bypassed[i],
-                rod_inputs=rod,
-            ))
-        self._frames = frames
-        return frames
+    def column(name: str) -> np.ndarray:
+        if not columns:
+            read = {field: _read_field(path, field, shapes[field], len(timestamps))
+                    for field in CORE_STATE_FIELDS}
+            _check_core_state(read, timestamps)
+            columns.update(read)
+        return columns[name]
+    return column
 
 
-def load_archive(path) -> FrameArchive:
-    """Open an archive directory; its frames read back bit-exactly.
+def load_archive(path) -> FrameTable:
+    """Open an archive directory as a frame table; it reads back bit-exactly.
 
     At open: the manifest, every blob's size (without reading it) and
-    ``readings.bin``. On first frame access: the core-state blobs, with each
-    frame's checks. A fault in either is a ``DataError``.
+    ``readings.bin``. On the first use of a core-state column: the five
+    core-state blobs, checked together. A fault in either is a ``DataError``.
     """
     path = Path(path)
     manifest = read_manifest(path, "virtlprm-frames", ARCHIVE_SCHEMA)
@@ -624,7 +562,7 @@ def load_archive(path) -> FrameArchive:
         shapes = {name: tuple(int(s) for s in manifest["shapes"][name])
                   for name in ARCHIVE_FIELDS}
         records = manifest["frames"]
-        timestamps = [int(rec["timestamp"]) for rec in records]
+        timestamps = np.array([int(rec["timestamp"]) for rec in records], dtype=np.int64)
         cycles = [int(rec["cycle"]) for rec in records]
         bypassed = [frozenset(DetectorId.parse(c) for c in rec.get("bypassed", []))
                     for rec in records]
@@ -641,4 +579,5 @@ def load_archive(path) -> FrameArchive:
     for name in CORE_STATE_FIELDS:
         _check_blob_size(path, name, shapes[name], count)
     readings = _read_field(path, "readings", shapes["readings"], count)
-    return FrameArchive(path, shapes, readings, timestamps, cycles, bypassed)
+    return FrameTable(readings, timestamps, cycles, _core_state_reader(path, shapes, timestamps),
+                      bypassed)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coredata import LEVELS, CoreGeometry, DataError, DetectorId, LprmFrame, write_json
+from .coredata import LEVELS, CoreGeometry, DataError, DetectorId, FrameTable, write_json
 from .models import LprmNet, SurrogateNet, corestate_batch
 from .synthplant import oracle_readings
 from .training import batched_predict
@@ -30,30 +30,26 @@ class OraclePredictor:
     def covered(self, geom: CoreGeometry) -> np.ndarray:
         return np.arange(geom.detector_count, dtype=np.intp)
 
-    def predict(self, frames, geom: CoreGeometry) -> np.ndarray:
-        frames = list(frames)
-        tp = np.array([f.state.thermal_power for f in frames], dtype=np.float32)
-        return oracle_readings(np.stack([f.state.nodal_power for f in frames]),
-                               np.stack([f.state.rod_variable for f in frames]), tp, geom)
+    def predict(self, table: FrameTable, geom: CoreGeometry) -> np.ndarray:
+        return oracle_readings(table.column("np"), table.column("rv"), table.thermal_power,
+                               geom)
 
 
 class _ModelPredictor:
     """One trained ``model`` and the one decision of what it reads and
-    fills: ``model_inputs(frames, readings, geom)`` is its input dict, given
-    the frames and their stacked (N, 172) readings, and ``covered(geom)``
-    the reading columns it predicts. Training arrays and predictions both
-    come from these two, so they cannot disagree."""
+    fills: ``model_inputs(table, readings, geom)`` is its input dict, given a
+    frame table and an (N, 172) readings matrix (the table's own, or the
+    masked one ``infer`` serves), and ``covered(geom)`` the reading columns
+    it predicts. Training arrays and predictions both come from these two,
+    so they cannot disagree."""
 
-    def training_arrays(self, frames, geom: CoreGeometry):
-        """The model's inputs and its target columns of the frames' readings."""
-        frames = list(frames)
-        readings = np.stack([f.readings for f in frames])
-        return self.model_inputs(frames, readings, geom), readings[:, self.covered(geom)]
+    def training_arrays(self, table: FrameTable, geom: CoreGeometry):
+        """The model's inputs and its target columns of the table's readings."""
+        return (self.model_inputs(table, table.readings, geom),
+                table.readings[:, self.covered(geom)])
 
-    def predict(self, frames, geom: CoreGeometry) -> np.ndarray:
-        frames = list(frames)
-        readings = np.stack([f.readings for f in frames])
-        return self._fill(len(frames), geom, self.model_inputs(frames, readings, geom))
+    def predict(self, table: FrameTable, geom: CoreGeometry) -> np.ndarray:
+        return self._fill(len(table), geom, self.model_inputs(table, table.readings, geom))
 
     def _fill(self, n: int, geom: CoreGeometry, inputs: dict) -> np.ndarray:
         """(n, 172) predictions of the model on ``inputs``, NaN outside its columns."""
@@ -74,7 +70,7 @@ class _SurrogatePredictor(_ModelPredictor):
     def covered(self, geom: CoreGeometry) -> np.ndarray:
         return self.columns(geom)[1]
 
-    def model_inputs(self, frames, readings: np.ndarray, geom: CoreGeometry) -> dict:
+    def model_inputs(self, table, readings: np.ndarray, geom: CoreGeometry) -> dict:
         return {"x": readings[:, self.columns(geom)[0]]}
 
     def predict_readings(self, readings: np.ndarray, geom: CoreGeometry) -> np.ndarray:
@@ -120,8 +116,8 @@ class LprmNetPredictor(_ModelPredictor):
     def covered(self, geom: CoreGeometry) -> np.ndarray:
         return np.array([geom.detector_index(self.target)], dtype=np.intp)
 
-    def model_inputs(self, frames, readings: np.ndarray, geom: CoreGeometry) -> dict:
-        return corestate_batch(frames)
+    def model_inputs(self, table: FrameTable, readings: np.ndarray, geom: CoreGeometry) -> dict:
+        return corestate_batch(table)
 
 
 class CompositePredictor:
@@ -141,11 +137,10 @@ class CompositePredictor:
     def covered(self, geom: CoreGeometry) -> np.ndarray:
         return np.array(sorted(set().union(*self.part_indices(geom))), dtype=np.intp)
 
-    def predict(self, frames, geom: CoreGeometry) -> np.ndarray:
-        frames = list(frames)
-        out = np.full((len(frames), geom.detector_count), np.nan, dtype=np.float32)
+    def predict(self, table: FrameTable, geom: CoreGeometry) -> np.ndarray:
+        out = np.full((len(table), geom.detector_count), np.nan, dtype=np.float32)
         for p, idx in zip(self.parts, self.part_indices(geom)):
-            out[:, idx] = p.predict(frames, geom)[:, idx]
+            out[:, idx] = p.predict(table, geom)[:, idx]
         return out
 
 
@@ -227,7 +222,7 @@ def _group_stats(rmse: np.ndarray, covered: np.ndarray, geom: CoreGeometry):
     return groups
 
 
-def rmse_report(predictor, frames, geom: CoreGeometry,
+def rmse_report(predictor, table: FrameTable, geom: CoreGeometry,
                 reference=None) -> RmseReport:
     """Per-detector RMSE of a predictor against measured readings.
 
@@ -235,14 +230,13 @@ def rmse_report(predictor, frames, geom: CoreGeometry,
     summary is the overall mean RMSE over the mean absolute measured
     reading. ``reference`` adds the same aggregates for a second predictor.
     """
-    frames = list(frames)
-    if not frames:
+    if not len(table):
         raise DataError("cannot evaluate on an empty frame set")
     covered = np.asarray(predictor.covered(geom), dtype=np.intp)
     if covered.size == 0:
         raise CoverageError("predictor covers no detectors")
-    measured = np.stack([f.readings for f in frames])
-    predictions = predictor.predict(frames, geom)
+    measured = table.readings
+    predictions = predictor.predict(table, geom)
     if predictions.shape != measured.shape:
         raise DataError(f"predictions shaped {predictions.shape} for "
                         f"{measured.shape} measurements")
@@ -256,7 +250,7 @@ def rmse_report(predictor, frames, geom: CoreGeometry,
 
     ref_groups = None
     if reference is not None:
-        ref_report = rmse_report(reference, frames, geom)
+        ref_report = rmse_report(reference, table, geom)
         ref_groups = ref_report.groups
 
     per_detector = {geom.detectors[i].code: float(rmse[i]) for i in covered}
@@ -266,12 +260,6 @@ def rmse_report(predictor, frames, geom: CoreGeometry,
 
 # ---------------------------------------------------------------------------
 # virtual sensing
-
-
-@dataclass
-class VirtualReading:
-    readings: np.ndarray
-    virtual: tuple  # detector codes that were replaced by predictions
 
 
 class VirtualSensor:
@@ -300,24 +288,24 @@ class VirtualSensor:
                 kind = "axis" if self.geom.set_of_detector(d) == "C" else "mirror"
                 raise CoverageError(f"no {kind} model covers bypassed detector {d.code}")
 
-    def infer_readings(self, readings, timestamps, frame_bypassed,
-                       bypassed) -> tuple[np.ndarray, np.ndarray]:
-        """Virtual readings of many frames at once: the (N, 172) ``readings``
-        with ``bypassed`` and each row's own set in ``frame_bypassed``
-        replaced by predictions, and that (N, 172) bypass mask.
+    def infer(self, table: FrameTable, bypassed) -> tuple[np.ndarray, np.ndarray]:
+        """Virtual readings of a frame table: its (N, 172) ``readings`` with
+        ``bypassed`` and each frame's own bypassed set replaced by
+        predictions, and that (N, 172) bypass mask. No core-state column is
+        read.
 
         Each part runs once over all rows, and only if it covers a masked
         entry. A non-finite reading raises ``DataError`` naming the
         detector and the row's timestamp, unless its detector is bypassed.
         """
         geom = self.geom
-        readings = np.asarray(readings, dtype=np.float32)
-        if readings.shape != (len(timestamps), geom.detector_count):
-            raise DataError(f"readings shaped {readings.shape} for {len(timestamps)} frames "
-                            f"of {geom.detector_count} detectors")
+        readings, timestamps = table.readings, table.timestamps
+        if readings.shape[1] != geom.detector_count:
+            raise DataError(f"readings shaped {readings.shape} for "
+                            f"{geom.detector_count} detectors")
         mask = np.zeros(readings.shape, dtype=bool)
         mask[:, [geom.detector_index(d) for d in bypassed]] = True
-        for row, own in enumerate(frame_bypassed):
+        for row, own in enumerate(table.bypassed):
             mask[row, [geom.detector_index(d) for d in own]] = True
         self.check_coverage(geom.detectors[i]
                             for i in np.flatnonzero((mask & ~self.coverage).any(axis=0)))
@@ -339,13 +327,6 @@ class VirtualSensor:
     def virtual_codes(self, mask_row: np.ndarray) -> tuple:
         """Codes of the detectors one mask row marks, in canonical order."""
         return tuple(self.geom.detectors[i].code for i in np.flatnonzero(mask_row))
-
-    def infer(self, frame: LprmFrame, bypassed) -> VirtualReading:
-        """Measured readings of one frame with ``bypassed`` and the frame's
-        own bypassed set replaced by predictions."""
-        readings, mask = self.infer_readings(frame.readings[None], [frame.timestamp],
-                                             [frame.bypassed], bypassed)
-        return VirtualReading(readings=readings[0], virtual=self.virtual_codes(mask[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +364,7 @@ class DriftReport:
                 writer.writerow([code, repr(d.slope), repr(d.offset), int(d.flagged)])
 
 
-def drift_report(predictor, frames, geom: CoreGeometry,
+def drift_report(predictor, table: FrameTable, geom: CoreGeometry,
                  threshold: float = 0.05) -> DriftReport:
     """Residual trend per detector over chronologically ordered frames.
 
@@ -392,16 +373,15 @@ def drift_report(predictor, frames, geom: CoreGeometry,
     exceeds ``threshold`` in magnitude, or is not finite (a NaN or infinite
     reading), is flagged for calibration.
     """
-    frames = list(frames)
-    if len(frames) < 2:
-        raise DataError(f"drift analysis needs at least 2 frames, got {len(frames)}")
-    stamps = np.array([f.timestamp for f in frames], dtype=np.float64)
+    if len(table) < 2:
+        raise DataError(f"drift analysis needs at least 2 frames, got {len(table)}")
+    stamps = table.timestamps.astype(np.float64)
     if np.any(np.diff(stamps) < 0):
         raise DataError("frames must be chronologically ordered")
 
     covered = np.asarray(predictor.covered(geom), dtype=np.intp)
-    measured = np.stack([f.readings for f in frames]).astype(np.float64)
-    predicted = predictor.predict(frames, geom).astype(np.float64)
+    measured = table.readings.astype(np.float64)
+    predicted = predictor.predict(table, geom).astype(np.float64)
     residual = measured[:, covered] - predicted[:, covered]
 
     t = stamps - stamps[0]

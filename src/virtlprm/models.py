@@ -317,13 +317,12 @@ class LprmNet(_NetworkBase):
 # dataset assembly
 
 
-def corestate_batch(frames) -> dict[str, np.ndarray]:
-    """Channel-first arrays for a batch of frames: depth becomes the channel axis."""
-    frames = list(frames)
+def corestate_batch(table) -> dict[str, np.ndarray]:
+    """Channel-first core-state arrays of a frame table: depth becomes the channel axis."""
     return {
-        "np": np.stack([f.state.nodal_power.transpose(2, 0, 1) for f in frames]),
-        "rv": np.stack([f.state.rod_variable.transpose(2, 0, 1) for f in frames]),
-        "scalars": np.stack([f.state.scalars() for f in frames]),
+        "np": np.ascontiguousarray(table.column("np").transpose(0, 3, 1, 2)),
+        "rv": np.ascontiguousarray(table.column("rv").transpose(0, 3, 1, 2)),
+        "scalars": table.column("scalars"),
     }
 
 

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .coredata import (
-    CoreGeometry,
-    CoreState,
-    DataError,
-    LprmFrame,
-    RodInputs,
-    derive_rod_variable,
-)
+from .coredata import CoreGeometry, DataError, FrameTable, derive_rod_variable
 
 # Axial power node sampled by each detector level (levels sit 6 nodes apart,
 # the lowest near the bottom of the active fuel).
@@ -138,12 +131,6 @@ def oracle_readings(np_stack: np.ndarray, rv_stack: np.ndarray,
         attenuation = np.float32(1.0) - np.float32(ROD_SHADOW) * local_rod
         out[:, geom.detector_index(d)] = thermal_power * local_power * attenuation
     return out
-
-
-def lprm_response_oracle(state: CoreState, geom: CoreGeometry) -> np.ndarray:
-    """Deterministic reading for every detector given one core state."""
-    return oracle_readings(state.nodal_power[None], state.rod_variable[None],
-                           np.array([state.thermal_power], dtype=np.float32), geom)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,22 +264,50 @@ class _CycleModel:
         return (raw / raw.mean()).astype(np.float32)
 
 
-def generate_cycle(scenario: PlantScenario, geom: CoreGeometry) -> list[LprmFrame]:
+def generate_cycle(scenario: PlantScenario, geom: CoreGeometry) -> FrameTable:
     """Produce one cycle of frames: smooth rod moves, monotonically
     accumulating depletion, evolving power shapes, occasional sub-90%-power
     dips, and oracle readings with measurement noise and sensitivity drift."""
+    return generate_plant([scenario], geom)
+
+
+def generate_plant(scenarios, geom: CoreGeometry) -> FrameTable:
+    """The frames of several cycles, in the given order, generated straight
+    into the rows of one frame table."""
+    scenarios = list(scenarios)
+    n = sum(s.frame_count for s in scenarios)
+    h, w = geom.h, geom.w
+    core = {"np": np.empty((n, h, w, geom.d), dtype=np.float32),
+            "rv": np.empty((n, h, w, geom.dprime), dtype=np.float32),
+            "rp": np.empty((n, h, w), dtype=np.float32),
+            "nbd": np.empty((n, h, w, geom.dprime), dtype=np.float32),
+            "scalars": np.empty((n, 3), dtype=np.float32)}
+    readings = np.empty((n, geom.detector_count), dtype=np.float32)
+    timestamps, cycles = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    start = 0
+    for scenario in scenarios:
+        rows = slice(start, start + scenario.frame_count)
+        _fill_cycle(scenario, geom, {name: col[rows] for name, col in core.items()},
+                    readings[rows])
+        timestamps[rows] = scenario.cycle_id * 1_000_000 + np.arange(scenario.frame_count)
+        cycles[rows] = scenario.cycle_id
+        start = rows.stop
+    return FrameTable(readings, timestamps, cycles, core)
+
+
+def _fill_cycle(scenario: PlantScenario, geom: CoreGeometry, core: dict,
+                readings: np.ndarray) -> None:
+    """Write one cycle's frames into the rows ``core`` and ``readings`` hold."""
     model = _CycleModel(scenario, geom)
     denom = max(scenario.frame_count - 1, 1)
-
-    states, rods = [], []
     for t in range(scenario.frame_count):
         u = t / denom
         rng_t = np.random.default_rng([scenario.seed, scenario.cycle_id, t])
 
-        rp = model.rod_pattern(u)
-        nbd = model.blade_depletion(u)
-        rv = derive_rod_variable(rp, nbd)
-        nodal_power = model.nodal_power(u, rv, rng_frame=np.random.default_rng(
+        rp = core["rp"][t] = model.rod_pattern(u)
+        nbd = core["nbd"][t] = model.blade_depletion(u)
+        rv = core["rv"][t] = derive_rod_variable(rp, nbd)
+        core["np"][t] = model.nodal_power(u, rv, rng_frame=np.random.default_rng(
             [scenario.seed, scenario.cycle_id, t, 3]))
 
         tp = 0.965 + 0.025 * np.sin(2 * np.pi * model.power_trend["freq"] * u
@@ -308,42 +323,15 @@ def generate_cycle(scenario: PlantScenario, geom: CoreGeometry) -> list[LprmFram
         flow = 0.97 + 0.04 * np.sin(2 * np.pi * model.flow_trend["freq"] * u
                                     + model.flow_trend["phase"])
         flow += 0.005 * rng_t.standard_normal()
+        core["scalars"][t] = (tp, subcool, flow)
 
-        states.append(CoreState(nodal_power=nodal_power, rod_variable=rv,
-                                thermal_power=tp, core_inlet_subcooling=float(subcool),
-                                core_flow=float(flow)))
-        rods.append(RodInputs(rod_pattern=rp, nodal_blade_depletion=nbd))
-
-    all_readings = oracle_readings(
-        np.stack([s.nodal_power for s in states]),
-        np.stack([s.rod_variable for s in states]),
-        np.array([s.thermal_power for s in states], dtype=np.float32), geom)
-
-    frames = []
-    for t, (state, rod) in enumerate(zip(states, rods)):
-        readings = all_readings[t]
+    readings[:] = oracle_readings(core["np"], core["rv"], core["scalars"][:, 0], geom)
+    for t in range(scenario.frame_count):
         if scenario.drift_rate > 0.0:
-            factor = np.where(model.drift_mask,
-                              np.float32((1.0 - scenario.drift_rate) ** t),
-                              np.float32(1.0))
-            readings = readings * factor
+            readings[t] *= np.where(model.drift_mask,
+                                    np.float32((1.0 - scenario.drift_rate) ** t),
+                                    np.float32(1.0))
         if scenario.noise_sigma > 0.0:
             rng_noise = np.random.default_rng([scenario.seed, scenario.cycle_id, t, 7])
-            noise = 1.0 + scenario.noise_sigma * rng_noise.standard_normal(readings.shape)
-            readings = readings * noise
-        frames.append(LprmFrame(
-            timestamp=scenario.cycle_id * 1_000_000 + t,
-            cycle_id=scenario.cycle_id,
-            state=state,
-            readings=np.asarray(readings, dtype=np.float32),
-            rod_inputs=rod,
-        ))
-    return frames
-
-
-def generate_plant(scenarios, geom: CoreGeometry) -> list[LprmFrame]:
-    """Concatenate the frames of several cycles, in the given order."""
-    frames = []
-    for scenario in scenarios:
-        frames.extend(generate_cycle(scenario, geom))
-    return frames
+            readings[t] = readings[t] * (
+                1.0 + scenario.noise_sigma * rng_noise.standard_normal(readings.shape[1]))

@@ -90,12 +90,8 @@ def c8_frames(geom):
 
 def _flatten_states(frames):
     n = len(frames)
-    out = np.empty((n, 30 * 30 * 25 + 30 * 30 * 24 + 3), dtype=np.float32)
-    for i, f in enumerate(frames):
-        out[i, :22500] = f.state.nodal_power.reshape(-1)
-        out[i, 22500:44100] = f.state.rod_variable.reshape(-1)
-        out[i, 44100:] = f.state.scalars()
-    return out
+    return np.concatenate([frames.column(name).reshape(n, -1)
+                           for name in ("np", "rv", "scalars")], axis=1)
 
 
 def _linear_baselines(train_f, val_f, test_f, target_indices):
@@ -107,9 +103,9 @@ def _linear_baselines(train_f, val_f, test_f, target_indices):
     on the validation split, reported as a stronger reference point.
     """
     x_tr, x_va, x_te = (_flatten_states(fs) for fs in (train_f, val_f, test_f))
-    y_tr = np.stack([f.readings for f in train_f])[:, target_indices]
-    y_va = np.stack([f.readings for f in val_f])[:, target_indices]
-    y_te = np.stack([f.readings for f in test_f])[:, target_indices]
+    y_tr = train_f.readings[:, target_indices]
+    y_va = val_f.readings[:, target_indices]
+    y_te = test_f.readings[:, target_indices]
     xm, ym = x_tr.mean(axis=0), y_tr.mean(axis=0)
     xc = x_tr - xm
     gram = (xc @ xc.T).astype(np.float64)
@@ -463,8 +459,8 @@ class TestCriterion8EndToEndConvergence:
         tr_h, va_h, te_h = split_holdout_cycle(c8_frames, holdout_cycle=2, seed=17)
         idxs = np.array([geom.detector_index(DetectorId.parse(c))
                          for c in C8_DETECTORS])
-        y_tr_all = np.stack([f.readings for f in tr_h])[:, idxs]
-        y_te_all = np.stack([f.readings for f in te_h])[:, idxs]
+        y_tr_all = tr_h.readings[:, idxs]
+        y_te_all = te_h.readings[:, idxs]
         mean_rmse = np.sqrt(np.mean((y_te_all - y_tr_all.mean(axis=0)) ** 2, axis=0))
         ols_rmse, ridge_rmse, lam = _linear_baselines(tr_h, va_h, te_h, idxs)
 
@@ -515,9 +511,9 @@ class TestCriterion9VirtualSensing:
         partner = geom.symmetry_partner(target)
         col = list(geom.detectors_in_set("A")).index(target)
         hits = 0
-        for frame in te_f:
-            virtual = sensor.infer(frame, [target]).readings[geom.detector_index(target)]
-            partner_val = frame.readings[geom.detector_index(partner)]
+        for row in range(len(te_f)):  # one frame at a time, through one-row tables
+            virtual = sensor.infer(te_f.take([row]), [target])[0][0, geom.detector_index(target)]
+            partner_val = te_f.readings[row, geom.detector_index(partner)]
             if abs(virtual - partner_val) <= 3.0 * sigma[col]:
                 hits += 1
         coverage = hits / len(te_f)

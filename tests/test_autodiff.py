@@ -348,6 +348,18 @@ class TestBackward:
         with pytest.raises(ShapeError, match="scalar"):
             ad.backward(Graph.trace(y), y)
 
+    def test_loss_must_be_the_graph_root(self):
+        x = t64([1.0], requires_grad=True)
+        inner = ad.tsum(ad.mul(x, x))
+        outer = ad.tsum(ad.mul(inner, t64([2.0])))
+        graph = Graph.trace(outer)
+        assert graph.tensors[-1] is outer and any(t is inner for t in graph.tensors)
+        with pytest.raises(ValueError, match="root"):
+            ad.backward(graph, inner)
+        assert x.grad is None
+        ad.backward(graph, outer)
+        np.testing.assert_allclose(x.grad, [4.0])
+
     def test_disconnected_tensor_gets_zero_gradient(self):
         # a cleared gradient is None, and a tensor the loss does not reach keeps it
         x = t64([1.0], requires_grad=True)

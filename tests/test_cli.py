@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import shutil
 import subprocess
@@ -157,6 +156,30 @@ def test_non_numeric_config_value_is_config_error(small_archive, tmp_path, monke
     assert captured.out == ""
     assert "config error" in captured.err and key in captured.err
     assert repr(value) in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("gen", "cycles", [5]), ("gen", "cycles", "ab"), ("train", "split", 5),
+    ("train", "geometry", 5)], ids=["gen cycles [5]", "gen cycles 'ab'", "train split 5",
+                                    "train geometry 5"])
+def test_config_value_of_wrong_type_is_config_error(small_archive, tmp_path, monkeypatch,
+                                                    capsys, command, key, value):
+    fail_on_archive_read(monkeypatch)
+    if command == "gen":
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps({"geometry": "default", key: value}))
+        argv = ["gen", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    else:
+        cfg = train_config(tmp_path / "exp.json", small_archive, "surrogate-ab")
+        config = json.loads(cfg.read_text())
+        config[key] = value
+        cfg.write_text(json.dumps(config))
+        argv = ["train", "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error") and key in captured.err
     assert not (tmp_path / "run").exists()
 
 
@@ -470,7 +493,7 @@ class TestInfer:
         first = json.loads(lines[0])
         assert first["virtual"] == []
         np.testing.assert_allclose(np.array(first["readings"], dtype=np.float32),
-                                   frames[0].readings)
+                                   frames.readings[0])
 
     def test_virtual_flags_exactly_match_bypass_list(self, trained_run, small_archive,
                                                      capsys):
@@ -493,10 +516,9 @@ class TestInfer:
 
 
 def write_edited_archive(source, dest, edit):
-    """Copy of an archive with ``edit(index, frame)`` applied to each frame."""
-    frames = [dataclasses.replace(f, readings=f.readings.copy()) for f in load_archive(source)]
-    for i, frame in enumerate(frames):
-        edit(i, frame)
+    """Copy of an archive with ``edit(frames)`` applied to its frame table."""
+    frames = load_archive(source).take(slice(None))  # readings and bypass sets of its own
+    edit(frames)
     save_archive(frames, dest)
     return dest
 
@@ -533,15 +555,15 @@ class TestBatchedInfer:
         frames = load_archive(small_archive)
         lines = out.splitlines()
         assert len(lines) == len(frames)
-        for frame, line in zip(frames, lines):
+        for row, line in enumerate(lines):
             record = json.loads(line)
             got = np.array(record["readings"], dtype=np.float32)
-            want = sensor.infer(frame, bypassed)
-            assert record["timestamp"] == frame.timestamp
-            assert record["virtual"] == list(want.virtual)
+            want, mask = sensor.infer(frames.take([row]), bypassed)  # the one-row path
+            assert record["timestamp"] == frames.timestamps[row]
+            assert record["virtual"] == list(sensor.virtual_codes(mask[0]))
             assert np.array_equal(got[measured].view(np.uint32),
-                                  frame.readings[measured].view(np.uint32))
-            ref = want.readings[virtual].astype(np.float64)
+                                  frames.readings[row, measured].view(np.uint32))
+            ref = want[0, virtual].astype(np.float64)
             assert np.all(np.abs(got[virtual] - ref) <= 1e-6 + 1e-4 * np.abs(ref))
 
     def test_per_frame_bypass_sets(self, trained_run, small_archive, tmp_path, capsys):
@@ -549,9 +571,10 @@ class TestBatchedInfer:
         b_set = geom.detectors_in_set("B")
         extra = [frozenset(), frozenset({b_set[1]}), frozenset({b_set[2], b_set[9]})]
 
-        def mark(i, frame):
-            frame.bypassed = extra[i % 3]
-            frame.apply_bypass(geom)
+        def mark(frames):
+            for i in range(len(frames)):
+                frames.bypassed[i] = extra[i % 3]
+                frames.readings[i, [geom.detector_index(d) for d in extra[i % 3]]] = 0.0
 
         archive = write_edited_archive(small_archive, tmp_path / "marked", mark)
         ckpt = trained_run["out_dir"] / "checkpoint"
@@ -559,7 +582,7 @@ class TestBatchedInfer:
         assert code == 0
         sensor = VirtualSensor(geom, [SetSurrogatePredictor(load_checkpoint(ckpt), "A")])
         frames = load_archive(archive)
-        for i, (frame, line) in enumerate(zip(frames, out.splitlines())):
+        for i, line in enumerate(out.splitlines()):
             record = json.loads(line)
             union = {DetectorId.parse("6A")} | extra[i % 3]
             assert record["virtual"] == [d.code for d in sorted(union)]
@@ -567,8 +590,8 @@ class TestBatchedInfer:
             filled = np.zeros(geom.detector_count, dtype=bool)
             filled[[geom.detector_index(d) for d in union]] = True
             assert np.array_equal(got[~filled].view(np.uint32),
-                                  frame.readings[~filled].view(np.uint32))
-            ref = sensor.infer(frame, [DetectorId.parse("6A")]).readings[filled]
+                                  frames.readings[i, ~filled].view(np.uint32))
+            ref = sensor.infer(frames.take([i]), [DetectorId.parse("6A")])[0][0, filled]
             assert np.all(np.abs(got[filled] - ref) <= 1e-6 + 1e-4 * np.abs(ref))
             assert np.all(got[filled] != 0.0)
 
@@ -608,12 +631,11 @@ class TestBatchedInfer:
         geom = default_geometry()
         target = geom.detector_index(DetectorId.parse("11A"))
 
-        def poison(i, frame):
-            if i == 2:
-                frame.readings[target] = np.nan
+        def poison(frames):
+            frames.readings[2, target] = np.nan
 
         archive = write_edited_archive(small_archive, tmp_path / "nan", poison)
-        stamp = load_archive(archive)[2].timestamp
+        stamp = load_archive(archive).timestamps[2]
         code, out, err = self.run_infer(capsys, trained_run["out_dir"] / "checkpoint",
                                         archive, self.BYPASS)
         assert code == 3
@@ -627,11 +649,12 @@ class TestBatchedInfer:
         geom = default_geometry()
         target = geom.detector_index(DetectorId.parse("11A"))
 
-        def poison(i, frame):
-            frame.readings[target] = np.inf if i % 2 else np.nan
+        def poison(frames):
+            frames.readings[0::2, target] = np.nan
+            frames.readings[1::2, target] = np.inf
 
-        def zero(i, frame):
-            frame.readings[target] = 0.0
+        def zero(frames):
+            frames.readings[:, target] = 0.0
 
         outputs = []
         for name, edit in (("nan", poison), ("zero", zero)):

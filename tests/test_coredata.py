@@ -5,12 +5,10 @@ import pytest
 
 from virtlprm import coredata as cd
 from virtlprm.coredata import (
-    CoreState,
     DataError,
     DetectorId,
+    FrameTable,
     GeometryError,
-    LprmFrame,
-    RodInputs,
     bypass_augment,
     default_geometry,
     derive_rod_variable,
@@ -27,21 +25,36 @@ def geom():
     return default_geometry()
 
 
-def make_frame(cycle=1, timestamp=0, power=0.98, readings=None, geom=None):
-    h = w = 30
-    state = CoreState(
-        nodal_power=np.ones((h, w, 25), dtype=np.float32),
-        rod_variable=np.zeros((h, w, 24), dtype=np.float32),
-        thermal_power=power,
-        core_inlet_subcooling=1.0,
-        core_flow=0.99,
-    )
-    rod = RodInputs(rod_pattern=np.zeros((h, w), dtype=np.float32),
-                    nodal_blade_depletion=np.zeros((h, w, 24), dtype=np.float32))
+def make_frames(cycles=(1,), timestamps=None, power=0.98, readings=None):
+    """A frame table of uniform core states, one frame per entry of ``cycles``;
+    ``power`` is one thermal power or one per frame, and every reading is 2.0
+    unless ``readings`` is given."""
+    n = len(cycles)
+    scalars = np.empty((n, 3), dtype=np.float32)
+    scalars[:] = (0.0, 1.0, 0.99)
+    scalars[:, 0] = power
+    core = {"np": np.ones((n, 30, 30, 25)), "rv": np.zeros((n, 30, 30, 24)),
+            "rp": np.zeros((n, 30, 30)), "nbd": np.zeros((n, 30, 30, 24)), "scalars": scalars}
     if readings is None:
-        readings = np.full(172, 2.0, dtype=np.float32)
-    return LprmFrame(timestamp=timestamp, cycle_id=cycle, state=state,
-                     readings=readings, rod_inputs=rod)
+        readings = np.full((n, 172), 2.0, dtype=np.float32)
+    return FrameTable(readings, np.arange(n) if timestamps is None else timestamps, cycles, core)
+
+
+def tiny_core(n=1, **arrays):
+    """Valid core-state columns of ``n`` frames on a 2x2 grid (D=3, D'=2),
+    with the given fields replaced."""
+    core = {"np": np.ones((n, 2, 2, 3)), "rv": np.zeros((n, 2, 2, 2)),
+            "rp": np.zeros((n, 2, 2)), "nbd": np.zeros((n, 2, 2, 2)),
+            "scalars": np.ones((n, 3))}
+    core.update(arrays)
+    return core
+
+
+def tiny_table(**arrays):
+    """A frame table over ``tiny_core``, stamped 100, 101, ...; its frame count
+    is that of the given arrays, or 1."""
+    n = len(next(iter(arrays.values()), np.ones(1)))
+    return FrameTable(np.ones((n, 4)), 100 + np.arange(n), np.ones(n), tiny_core(n, **arrays))
 
 
 class TestDetectorId:
@@ -197,95 +210,129 @@ class TestRodVariable:
 
 class TestFilterTransients:
     def test_power_threshold(self):
-        kept = filter_transients([make_frame(power=0.95), make_frame(power=0.89)],
+        kept = filter_transients(make_frames(cycles=(1, 1), power=[0.95, 0.89]),
                                  rated_power=1.0)
         assert len(kept) == 1
-        assert kept[0].state.thermal_power == pytest.approx(0.95)
+        assert kept.thermal_power[0] == pytest.approx(0.95)
 
     def test_exactly_at_threshold_kept(self):
-        assert len(filter_transients([make_frame(power=0.9)])) == 1
+        assert len(filter_transients(make_frames(power=0.9))) == 1
 
     def test_nan_reading_dropped(self):
-        readings = np.full(172, 2.0, dtype=np.float32)
-        frame = make_frame()
-        frame.readings[0] = np.nan
-        assert filter_transients([frame, make_frame()]) != []
-        assert len(filter_transients([frame, make_frame()])) == 1
+        frames = make_frames(cycles=(1, 1))
+        frames.readings[0, 0] = np.nan
+        assert filter_transients(frames).timestamps.tolist() == [1]
 
     def test_negative_reading_dropped(self):
-        bad = make_frame()
-        bad.readings[5] = -1.0
-        assert len(filter_transients([bad, make_frame()])) == 1
+        frames = make_frames(cycles=(1, 1))
+        frames.readings[0, 5] = -1.0
+        assert len(filter_transients(frames)) == 1
 
     def test_outlier_above_cycle_median_dropped(self):
-        frames = [make_frame(timestamp=i) for i in range(10)]
-        frames[3].readings[7] = 50.0  # 25x the median of 2.0
+        frames = make_frames(cycles=(1,) * 10)
+        frames.readings[3, 7] = 50.0  # 25x the median of 2.0
         kept = filter_transients(frames)
         assert len(kept) == 9
-        assert all(f.timestamp != 3 for f in kept)
+        assert 3 not in kept.timestamps
 
     def test_invalid_rated_power(self):
         with pytest.raises(DataError):
-            filter_transients([make_frame()], rated_power=0.0)
+            filter_transients(make_frames(), rated_power=0.0)
+
+    def test_mixed_rows_keep_what_the_per_frame_rule_keeps(self):
+        # Two interleaved cycles with every kind of bad row. Cycle 2's
+        # readings run high on its sub-90% rows, which pull its medians up,
+        # so the outlier at row 9 stays under the cap only because dropped
+        # rows still count towards the medians.
+        cycles = (1, 2) * 8
+        power = [0.98, 0.5, 0.95, 0.6, 0.89, 0.7, 0.99, 0.97,
+                 0.92, 0.96, 0.93, 0.8, 0.97, 0.98, 0.9, 0.99]
+        readings = np.full((16, 172), 2.0, dtype=np.float32)
+        readings[1::2] = 3.0
+        readings[[1, 3, 5, 11], :] = 40.0     # cycle 2, dropped for low power
+        readings[9, 4] = 40.0                 # cycle 2, under 5x its median with them
+        readings[2, 8] = np.nan               # cycle 1
+        readings[7, 100] = -0.5               # cycle 2
+        readings[12, 0] = np.inf              # cycle 1
+        readings[6, 3] = 10.5                 # cycle 1, over 5x its median of 2
+        readings[10, 3] = 9.5                 # cycle 1, under it
+        frames = make_frames(cycles, timestamps=100 + np.arange(16), power=power,
+                             readings=readings)
+
+        def per_frame_rule():
+            medians = {}
+            for c in set(cycles):
+                stack = readings[np.array(cycles) == c]
+                with np.errstate(invalid="ignore"):
+                    medians[c] = np.nanmedian(np.where(np.isfinite(stack), stack, np.nan),
+                                              axis=0)
+            kept = []
+            for i, (c, row) in enumerate(zip(cycles, readings)):
+                cap = np.where(np.isfinite(medians[c]) & (medians[c] > 0), 5.0 * medians[c],
+                               np.inf)
+                if (np.float32(power[i]) >= np.float32(0.9) and np.all(np.isfinite(row))
+                        and row.min() >= 0.0 and not np.any(row > cap)):
+                    kept.append(100 + i)
+            return kept
+
+        kept = filter_transients(frames)
+        assert kept.timestamps.tolist() == per_frame_rule()
+        assert kept.timestamps.tolist() == [100, 108, 109, 110, 113, 114, 115]
+        np.testing.assert_array_equal(kept.readings, readings[kept.timestamps - 100])
+        assert kept.cycles.tolist() == [1, 1, 2, 1, 2, 1, 2]
 
 
 class TestSplits:
     def test_surrogate_exact_proportions(self):
-        frames = [make_frame(timestamp=i) for i in range(100)]
-        train, val, test = split_surrogate(frames, seed=3)
+        train, val, test = split_surrogate(make_frames(cycles=(1,) * 100), seed=3)
         assert (len(train), len(val), len(test)) == (70, 20, 10)
 
     def test_surrogate_deterministic(self):
-        frames = [make_frame(timestamp=i) for i in range(37)]
+        frames = make_frames(cycles=(1,) * 37)
         a = split_surrogate(frames, seed=11)
         b = split_surrogate(frames, seed=11)
         for pa, pb in zip(a, b):
-            assert [f.timestamp for f in pa] == [f.timestamp for f in pb]
+            assert pa.timestamps.tolist() == pb.timestamps.tolist()
 
     def test_surrogate_partition(self):
-        frames = [make_frame(timestamp=i) for i in range(23)]
-        train, val, test = split_surrogate(frames, seed=5)
-        ids = [f.timestamp for part in (train, val, test) for f in part]
-        assert sorted(ids) == list(range(23))
+        train, val, test = split_surrogate(make_frames(cycles=(1,) * 23), seed=5)
+        ids = np.concatenate([part.timestamps for part in (train, val, test)])
+        assert sorted(ids.tolist()) == list(range(23))
 
     def test_surrogate_too_few(self):
         with pytest.raises(DataError):
-            split_surrogate([make_frame()] * 9, seed=0)
+            split_surrogate(make_frames(cycles=(1,) * 9), seed=0)
 
     def test_holdout_excludes_cycle(self):
-        frames = [make_frame(cycle=c, timestamp=10 * c + i)
-                  for c in (20, 21, 22, 23) for i in range(6)]
+        cycles = [c for c in (20, 21, 22, 23) for _ in range(6)]
+        frames = make_frames(cycles, timestamps=10 * np.array(cycles) + np.arange(24) % 6)
         train, val, test = split_holdout_cycle(frames, holdout_cycle=22, seed=0)
-        assert {f.cycle_id for f in train} == {20, 21, 23}
-        assert {f.cycle_id for f in val} == {22}
-        assert {f.cycle_id for f in test} == {22}
+        assert set(train.cycles.tolist()) == {20, 21, 23}
+        assert set(val.cycles.tolist()) == {22}
+        assert set(test.cycles.tolist()) == {22}
 
     def test_holdout_half_split(self):
-        frames = [make_frame(cycle=1, timestamp=i) for i in range(10)]
-        frames += [make_frame(cycle=2, timestamp=100 + i) for i in range(100)]
+        frames = make_frames((1,) * 10 + (2,) * 100)
         _, val, test = split_holdout_cycle(frames, holdout_cycle=2, seed=1)
         assert len(val) == 50 and len(test) == 50
 
     def test_holdout_partition_disjoint(self):
-        frames = [make_frame(cycle=c, timestamp=17 * c + i)
-                  for c in (1, 2) for i in range(9)]
+        frames = make_frames((1,) * 9 + (2,) * 9)
         train, val, test = split_holdout_cycle(frames, holdout_cycle=2, seed=2)
-        ids = [f.timestamp for part in (train, val, test) for f in part]
+        ids = np.concatenate([part.timestamps for part in (train, val, test)]).tolist()
         assert len(ids) == len(set(ids)) == len(frames)
 
     def test_holdout_missing_cycle(self):
         with pytest.raises(DataError):
-            split_holdout_cycle([make_frame(cycle=1)], holdout_cycle=2, seed=0)
+            split_holdout_cycle(make_frames(cycles=(1,)), holdout_cycle=2, seed=0)
         with pytest.raises(DataError):
-            split_holdout_cycle([make_frame(cycle=2)], holdout_cycle=2, seed=0)
+            split_holdout_cycle(make_frames(cycles=(2,)), holdout_cycle=2, seed=0)
 
     def test_holdout_too_small_to_split(self):
-        frames = [make_frame(cycle=1, timestamp=i) for i in range(5)]
         with pytest.raises(DataError, match="at least 2"):
-            split_holdout_cycle(frames + [make_frame(cycle=2, timestamp=9)],
-                                holdout_cycle=2, seed=0)
-        two = [make_frame(cycle=2, timestamp=9 + i) for i in range(2)]
-        _, val, test = split_holdout_cycle(frames + two, holdout_cycle=2, seed=0)
+            split_holdout_cycle(make_frames((1,) * 5 + (2,)), holdout_cycle=2, seed=0)
+        _, val, test = split_holdout_cycle(make_frames((1,) * 5 + (2,) * 2),
+                                           holdout_cycle=2, seed=0)
         assert len(val) == len(test) == 1
 
 
@@ -318,29 +365,26 @@ class TestBypassAugment:
             bypass_augment(np.ones(3), 1.5, np.random.default_rng(0))
 
 
+def mark_bypassed(frames, row, detector, geom):
+    """Mark ``detector`` bypassed in frame ``row``, its reading stored as zero."""
+    frames.bypassed[row] = frozenset({detector})
+    frames.readings[row, geom.detector_index(detector)] = 0.0
+
+
 class TestArchive:
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self, tmp_path, geom):
         rng = np.random.default_rng(9)
-        frames = []
-        for i in range(4):
-            f = make_frame(cycle=1 + i % 2, timestamp=i)
-            f.state.nodal_power = rng.random((30, 30, 25)).astype(np.float32)
-            f.readings = rng.random(172).astype(np.float32)
-            frames.append(f)
-        frames[2].bypassed = frozenset({DetectorId(3, "B")})
-        frames[2].apply_bypass(default_geometry())
+        frames = make_frames(cycles=(1, 2, 1, 2), readings=rng.random((4, 172)))
+        frames.column("np")[:] = rng.random((4, 30, 30, 25))
+        mark_bypassed(frames, 2, DetectorId(3, "B"), geom)
 
         save_archive(frames, tmp_path / "arch")
         loaded = load_archive(tmp_path / "arch")
         assert len(loaded) == 4
-        for orig, back in zip(frames, loaded):
-            assert back.timestamp == orig.timestamp
-            assert back.cycle_id == orig.cycle_id
-            assert back.bypassed == orig.bypassed
-            np.testing.assert_array_equal(back.readings, orig.readings)
-            np.testing.assert_array_equal(back.state.nodal_power, orig.state.nodal_power)
-            np.testing.assert_array_equal(back.rod_inputs.rod_pattern,
-                                          orig.rod_inputs.rod_pattern)
+        for name in ("timestamps", "cycles", "bypassed"):
+            assert getattr(loaded, name).tolist() == getattr(frames, name).tolist()
+        for name in cd.ARCHIVE_FIELDS:
+            np.testing.assert_array_equal(loaded.column(name), frames.column(name))
 
         save_archive(loaded, tmp_path / "arch2")
         for name in ("manifest.json", "np.bin", "rv.bin", "rp.bin", "nbd.bin",
@@ -353,7 +397,7 @@ class TestArchive:
             load_archive(tmp_path)
 
     def test_rejects_truncated_blob(self, tmp_path):
-        save_archive([make_frame(timestamp=i) for i in range(3)], tmp_path / "a")
+        save_archive(make_frames(cycles=(1,) * 3), tmp_path / "a")
         blob = tmp_path / "a" / "readings.bin"
         blob.write_bytes(blob.read_bytes()[:-8])
         with pytest.raises(DataError, match="readings"):
@@ -361,33 +405,37 @@ class TestArchive:
 
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(DataError):
-            save_archive([], tmp_path / "a")
+            save_archive(make_frames(cycles=()), tmp_path / "a")
 
-    def test_core_state_read_once_on_first_use(self, tmp_path, blob_reads):
-        frames = [make_frame(cycle=1 + i % 2, timestamp=10 * i) for i in range(3)]
-        frames[1].bypassed = frozenset({DetectorId(3, "B")})
-        frames[1].apply_bypass(default_geometry())
+    def test_core_state_read_once_on_first_use(self, tmp_path, blob_reads, geom):
+        frames = make_frames(cycles=(1, 2, 1), timestamps=[0, 10, 20])
+        mark_bypassed(frames, 1, DetectorId(3, "B"), geom)
         save_archive(frames, tmp_path / "a")
 
         archive = load_archive(tmp_path / "a")
         assert len(archive) == 3
-        assert archive.timestamps == [0, 10, 20]
-        assert archive.bypassed == [frozenset(), frozenset({DetectorId(3, "B")}), frozenset()]
-        np.testing.assert_array_equal(archive.readings, np.stack([f.readings for f in frames]))
+        assert archive.timestamps.tolist() == [0, 10, 20]
+        assert archive.cycles.tolist() == [1, 2, 1]
+        assert archive.bypassed.tolist() == [frozenset(), frozenset({DetectorId(3, "B")}),
+                                             frozenset()]
+        np.testing.assert_array_equal(archive.readings, frames.readings)
         assert blob_reads == ["readings.bin"]
 
-        first = list(archive)
+        selected = archive.take([2, 0])  # a row selection reads nothing either
+        assert selected.timestamps.tolist() == [20, 0]
+        assert blob_reads == ["readings.bin"]
+
+        first = {name: archive.column(name) for name in cd.CORE_STATE_FIELDS}
         assert sorted(blob_reads) == sorted(f"{name}.bin" for name in cd.ARCHIVE_FIELDS)
-        assert [f.cycle_id for f in first] == [1, 2, 1]
-        assert [f.bypassed for f in first] == archive.bypassed
         blob_reads.clear()
-        second = [archive[i] for i in range(len(archive))] + list(archive)
+        assert all(archive.column(name) is col for name, col in first.items())
+        np.testing.assert_array_equal(selected.column("rv"), first["rv"][[2, 0]])
+        assert selected.thermal_power.tolist() == archive.thermal_power[[2, 0]].tolist()
         assert blob_reads == []
-        assert all(a is b for a, b in zip(first + first, second))
 
     @pytest.mark.parametrize("name", ["np", "rv", "rp", "nbd", "scalars"])
     def test_rejects_short_core_state_blob_at_open(self, tmp_path, blob_reads, name):
-        save_archive([make_frame(timestamp=i) for i in range(3)], tmp_path / "a")
+        save_archive(make_frames(cycles=(1,) * 3), tmp_path / "a")
         blob = tmp_path / "a" / f"{name}.bin"
         blob.write_bytes(blob.read_bytes()[:-4])
         with pytest.raises(DataError, match=f"{name}.bin"):
@@ -395,15 +443,16 @@ class TestArchive:
         assert blob_reads == []
 
     def test_core_state_fault_raised_on_first_use(self, tmp_path):
-        save_archive([make_frame(timestamp=i) for i in range(3)], tmp_path / "a")
+        save_archive(make_frames(cycles=(1,) * 3, timestamps=[7, 8, 9]), tmp_path / "a")
         with open(tmp_path / "a" / "np.bin", "r+b") as fh:
             fh.seek(4 * 30 * 30 * 25 + 8)  # into the second frame
             fh.write(np.array([np.nan], dtype="<f4").tobytes())
         archive = load_archive(tmp_path / "a")
-        assert archive.timestamps == [0, 1, 2]
+        assert archive.timestamps.tolist() == [7, 8, 9]
+        selected = archive.take([0, 2])  # the check covers every frame of the archive
         for _ in range(2):  # a failed read is not cached
-            with pytest.raises(DataError, match="non-finite"):
-                archive[0]
+            with pytest.raises(DataError, match=r"nodal power .*non-finite.*'np'.*timestamp 8\b"):
+                selected.column("scalars")
 
     @pytest.mark.parametrize("edit", [
         lambda m: m.update(frame_count=4),
@@ -414,7 +463,7 @@ class TestArchive:
     ], ids=["frame_count", "no timestamp", "record not an object", "no rv shape",
             "readings not flat"])
     def test_rejects_inconsistent_manifest(self, tmp_path, edit):
-        save_archive([make_frame(timestamp=i) for i in range(3)], tmp_path / "a")
+        save_archive(make_frames(cycles=(1,) * 3), tmp_path / "a")
         path = tmp_path / "a" / "manifest.json"
         manifest = json.loads(path.read_text())
         edit(manifest)
@@ -424,21 +473,21 @@ class TestArchive:
 
 
 class TestContainers:
-    def test_core_state_validation(self):
-        with pytest.raises(DataError):
-            CoreState(np.full((2, 2, 3), -1.0), np.zeros((2, 2, 2)), 1.0, 1.0, 1.0)
-        with pytest.raises(DataError):
-            CoreState(np.ones((2, 2, 3)), np.full((2, 2, 2), 1.5), 1.0, 1.0, 1.0)
+    """A frame table checks the core-state columns it is given."""
 
-    def test_bypassed_readings_zeroed(self, geom):
-        f = make_frame()
-        f.bypassed = frozenset({DetectorId(1, "A")})
-        f.apply_bypass(geom)
-        assert f.readings[geom.detector_index(DetectorId(1, "A"))] == 0.0
+    def test_core_state_validation(self):
+        with pytest.raises(DataError, match="nodal power must be finite and non-negative"):
+            tiny_table(np=np.full((1, 2, 2, 3), -1.0))
+        with pytest.raises(DataError, match=r"rod variable must lie in \[0, 1\]"):
+            tiny_table(rv=np.full((1, 2, 2, 2), 1.5))
+        with pytest.raises(DataError, match="field 'rv' has shape"):
+            tiny_table(rv=np.zeros((1, 3, 2, 2)))  # another radial grid
+        with pytest.raises(DataError, match="field 'scalars' has shape"):
+            tiny_table(scalars=np.ones((1, 2)))
 
     def test_rod_inputs_validation(self):
-        with pytest.raises(DataError):
-            RodInputs(np.full((2, 2), 2.0), np.zeros((2, 2, 4)))
+        with pytest.raises(DataError, match="rod pattern"):
+            tiny_table(rp=np.full((1, 2, 2), 2.0))
 
     @pytest.mark.parametrize("field,name", [("rod_pattern", "rod pattern"),
                                             ("nodal_blade_depletion", "nodal blade depletion")])
@@ -446,32 +495,38 @@ class TestContainers:
         # NaN fails both of the range's comparisons, so it must not pass as in range
         arrays = {"rod_pattern": np.full((2, 2), 0.5), "nodal_blade_depletion": np.zeros((2, 2, 4))}
         arrays[field].flat[3] = np.nan
+        column = {"rod_pattern": "rp", "nodal_blade_depletion": "nbd"}[field]
         with pytest.raises(DataError, match=name + r" must lie in \[0, 1\]"):
-            RodInputs(**arrays)
+            tiny_table(rp=arrays["rod_pattern"][None], nbd=arrays["nodal_blade_depletion"][None])
         with pytest.raises(DataError, match=name + r" must lie in \[0, 1\]"):
             derive_rod_variable(**arrays)
+        with pytest.raises(DataError, match=f"'{column}'"):
+            tiny_table(rp=arrays["rod_pattern"][None], nbd=arrays["nodal_blade_depletion"][None])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["nodal_power", "rod_variable"])
     def test_core_state_rejects_non_finite(self, field, bad):
-        arrays = {"nodal_power": np.ones((2, 2, 3)), "rod_variable": np.zeros((2, 2, 2))}
-        arrays[field][1, 0, 1] = bad
-        with pytest.raises(DataError, match="non-finite"):
-            CoreState(**arrays, thermal_power=1.0, core_inlet_subcooling=1.0, core_flow=1.0)
+        name = {"nodal_power": "np", "rod_variable": "rv"}[field]
+        column = tiny_core(3)[name]
+        column[2, 1, 0, 1] = bad
+        with pytest.raises(DataError, match=f"non-finite values \\(field '{name}', first in "
+                                            f"the frame at timestamp 102\\)"):
+            tiny_table(**{name: column})
 
     def test_unit_range_message_names_the_range(self):
-        rv = np.zeros((2, 2, 2))
-        rv[0, 1, 1] = -0.5
+        rv = np.zeros((1, 2, 2, 2))
+        rv[0, 0, 1, 1] = -0.5
         with pytest.raises(DataError, match=r"rod variable must lie in \[0, 1\], got range "
                                             r"\[-0\.5, 0\]"):
-            CoreState(np.ones((2, 2, 3)), rv, 1.0, 1.0, 1.0)
-        nbd = np.zeros((2, 2, 4))
-        nbd[1, 1, 3] = 3.0
-        with pytest.raises(DataError, match=r"nodal blade depletion .* \[0, 3\]"):
-            RodInputs(np.zeros((2, 2)), nbd)
+            tiny_table(rv=rv)
+        nbd = np.zeros((2, 2, 2, 2))
+        nbd[1, 1, 1, 1] = 3.0
+        with pytest.raises(DataError, match=r"nodal blade depletion .* \[0, 3\] "
+                                            r"\(field 'nbd', first in the frame at timestamp 101"):
+            tiny_table(**tiny_core(2, nbd=nbd))
 
     def test_zero_size_arrays_are_valid(self):
-        state = CoreState(np.zeros((0, 2, 3)), np.zeros((0, 2, 2)), 1.0, 1.0, 1.0)
-        assert state.nodal_power.size == 0
-        rod = RodInputs(np.zeros((0, 2)), np.zeros((0, 2, 4)))
-        assert rod.rod_pattern.size == 0
+        frames = tiny_table(np=np.zeros((1, 0, 2, 3)), rv=np.zeros((1, 0, 2, 2)),
+                            rp=np.zeros((1, 0, 2)), nbd=np.zeros((1, 0, 2, 4)))
+        assert frames.column("np").size == 0 and frames.column("rp").size == 0
+        assert len(make_frames(cycles=())) == 0

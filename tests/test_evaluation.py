@@ -1,10 +1,9 @@
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from virtlprm.coredata import DataError, DetectorId, LprmFrame
+from virtlprm.coredata import DataError, DetectorId
 from virtlprm.evaluation import (
     AxisDetectorPredictor,
     CompositePredictor,
@@ -41,8 +40,8 @@ class OffsetOracle(OraclePredictor):
     def __init__(self, offset):
         self.offset = offset
 
-    def predict(self, frames, geom):
-        return super().predict(frames, geom) + self.offset
+    def predict(self, table, geom):
+        return super().predict(table, geom) + self.offset
 
 
 class TestRmseReport:
@@ -82,8 +81,8 @@ class TestRmseReport:
 
     def test_percent_error_definition(self, session_geom, clean_frames):
         report = rmse_report(OffsetOracle(0.1), clean_frames, session_geom)
-        measured = np.stack([f.readings for f in clean_frames])
-        expected = report.groups["overall"].mean_rmse / np.mean(np.abs(measured)) * 100.0
+        expected = (report.groups["overall"].mean_rmse / np.mean(np.abs(clean_frames.readings))
+                    * 100.0)
         assert report.percent_error == pytest.approx(expected, rel=1e-6)
 
     def test_reference_column(self, session_geom, clean_frames):
@@ -96,13 +95,13 @@ class TestRmseReport:
         predictor = CompositePredictor([
             LprmNetPredictor(LprmNet(SMALL_LPRMNET, seed=0), DetectorId(1, "A")),
             LprmNetPredictor(LprmNet(SMALL_LPRMNET, seed=1), DetectorId(7, "C"))])
-        report = rmse_report(predictor, clean_frames[:6], session_geom)
+        report = rmse_report(predictor, clean_frames.take(slice(0, 6)), session_geom)
         assert report.groups["overall"].detector_count == 2
         assert set(report.per_detector) == {"1A", "7C"}
 
-    def test_empty_frames_rejected(self, session_geom):
-        with pytest.raises(Exception):
-            rmse_report(OraclePredictor(), [], session_geom)
+    def test_empty_frames_rejected(self, session_geom, clean_frames):
+        with pytest.raises(DataError, match="empty"):
+            rmse_report(OraclePredictor(), clean_frames.take([]), session_geom)
 
     def test_json_round_trip_bit_exact(self, session_geom, clean_frames, tmp_path):
         report = rmse_report(OffsetOracle(1.0 / 3.0), clean_frames, session_geom,
@@ -122,19 +121,29 @@ class TestRmseReport:
         assert [ln.split(",")[0] for ln in lines[1:]] == ["overall", "A", "B", "C", "D"]
 
 
+def infer_row(sensor, frames, row, bypassed):
+    """Virtual readings of frame ``row`` alone, through a one-row table, and
+    the codes of the detectors it filled."""
+    readings, mask = sensor.infer(frames.take([row]), bypassed)
+    return readings[0], sensor.virtual_codes(mask[0])
+
+
 class TestVirtualSensing:
     def test_empty_bypass_echoes_measured(self, session_geom, clean_frames):
         sensor = VirtualSensor(session_geom)
-        result = sensor.infer(clean_frames[0], [])
-        np.testing.assert_array_equal(result.readings, clean_frames[0].readings)
-        assert result.virtual == ()
+        readings, virtual = infer_row(sensor, clean_frames, 0, [])
+        np.testing.assert_array_equal(readings, clean_frames.readings[0])
+        assert virtual == ()
+        whole, mask = sensor.infer(clean_frames, [])
+        np.testing.assert_array_equal(whole, clean_frames.readings)
+        assert not mask.any()
 
     def test_uncovered_detector_raises(self, session_geom, clean_frames):
         sensor = VirtualSensor(session_geom)
         with pytest.raises(CoverageError, match="1A"):
-            sensor.infer(clean_frames[0], [DetectorId(1, "A")])
+            sensor.infer(clean_frames, [DetectorId(1, "A")])
         with pytest.raises(CoverageError, match="7C"):
-            sensor.infer(clean_frames[0], [DetectorId(7, "C")])
+            sensor.infer(clean_frames.take([0]), [DetectorId(7, "C")])
 
     def test_bypassed_b_detector_close_to_partner(self, trained_surrogate):
         # Held-out frames from the training scenario: the virtual reading
@@ -148,10 +157,9 @@ class TestVirtualSensing:
         partner = geom.symmetry_partner(target)
         col = 3
         hits = 0
-        for frame in test_frames:
-            result = sensor.infer(frame, [target])
-            virtual = result.readings[geom.detector_index(target)]
-            partner_measured = frame.readings[geom.detector_index(partner)]
+        for row in range(len(test_frames)):
+            virtual = infer_row(sensor, test_frames, row, [target])[0][geom.detector_index(target)]
+            partner_measured = test_frames.readings[row, geom.detector_index(partner)]
             if abs(virtual - partner_measured) <= 3.0 * sigma[col]:
                 hits += 1
         assert hits / len(test_frames) >= 0.95
@@ -160,15 +168,12 @@ class TestVirtualSensing:
         geom = trained_surrogate["geom"]
         sensor = VirtualSensor(geom, [SetSurrogatePredictor(trained_surrogate["model"], "A")])
         bypass = [geom.detectors_in_set("B")[0]]
-        first = sensor.infer(clean_frames[1], bypass)
-        frame_again = LprmFrame(timestamp=clean_frames[1].timestamp,
-                                cycle_id=clean_frames[1].cycle_id,
-                                state=clean_frames[1].state,
-                                readings=first.readings,
-                                rod_inputs=clean_frames[1].rod_inputs)
-        second = sensor.infer(frame_again, bypass)
-        np.testing.assert_array_equal(first.readings, second.readings)
-        assert first.virtual == second.virtual
+        first = infer_row(sensor, clean_frames, 1, bypass)
+        frame_again = clean_frames.take([1])
+        frame_again.readings[0] = first[0]
+        second = infer_row(sensor, frame_again, 0, bypass)
+        np.testing.assert_array_equal(first[0], second[0])
+        assert first[1] == second[1]
 
     def test_bypassing_every_input_still_finite(self, trained_surrogate, clean_frames):
         # Zeroing the whole input set must not destabilize predictions.
@@ -178,29 +183,27 @@ class TestVirtualSensing:
         model_ba = SurrogateNet(SurrogateSpec(76, 76, (8,) * 6), seed=2)
         sensor = VirtualSensor(geom, [SetSurrogatePredictor(model_ab, "A"),
                                       SetSurrogatePredictor(model_ba, "B")])
-        result = sensor.infer(clean_frames[0], list(geom.detectors_in_set("A")))
-        assert np.all(np.isfinite(result.readings))
+        readings, _ = infer_row(sensor, clean_frames, 0, list(geom.detectors_in_set("A")))
+        assert np.all(np.isfinite(readings))
 
     def test_axis_detector_served_by_axis_model(self, session_geom, clean_frames):
         target = session_geom.detectors_in_set("C")[2]
         model = SurrogateNet(axis_surrogate_spec(hidden=8), seed=0)
         sensor = VirtualSensor(session_geom, [AxisDetectorPredictor(model, target)])
-        result = sensor.infer(clean_frames[0], [target])
-        assert result.virtual == (target.code,)
-        assert np.isfinite(result.readings[session_geom.detector_index(target)])
+        readings, virtual = infer_row(sensor, clean_frames, 0, [target])
+        assert virtual == (target.code,)
+        assert np.isfinite(readings[session_geom.detector_index(target)])
 
     def test_frame_bypass_set_included(self, trained_surrogate, clean_frames):
         geom = trained_surrogate["geom"]
         sensor = VirtualSensor(geom, [SetSurrogatePredictor(trained_surrogate["model"], "A")])
         target = geom.detectors_in_set("B")[1]
-        frame = clean_frames[2]
-        marked = LprmFrame(timestamp=frame.timestamp, cycle_id=frame.cycle_id,
-                           state=frame.state, readings=frame.readings.copy(),
-                           bypassed=frozenset({target}), rod_inputs=frame.rod_inputs)
-        marked.apply_bypass(geom)
-        result = sensor.infer(marked, [])
-        assert result.virtual == (target.code,)
-        assert result.readings[geom.detector_index(target)] != 0.0
+        marked = clean_frames.take([2])
+        marked.bypassed[0] = frozenset({target})
+        marked.readings[0, geom.detector_index(target)] = 0.0
+        readings, virtual = infer_row(sensor, marked, 0, [])
+        assert virtual == (target.code,)
+        assert readings[geom.detector_index(target)] != 0.0
 
 
 class TestDriftReport:
@@ -233,18 +236,18 @@ class TestDriftReport:
     def test_non_finite_reading_flagged(self, session_geom, clean_frames):
         # A faulty instrument's NaN makes its offset NaN, which must not
         # read as healthy; the other detectors are unaffected.
-        frames = [dataclasses.replace(f, readings=f.readings.copy()) for f in clean_frames]
-        frames[7].readings[session_geom.detector_index(DetectorId(11, "A"))] = np.nan
+        frames = clean_frames.take(slice(None))  # its own copy of the readings
+        frames.readings[7, session_geom.detector_index(DetectorId(11, "A"))] = np.nan
         report = drift_report(OraclePredictor(), frames, session_geom, threshold=0.05)
         assert np.isnan(report.detectors["11A"].offset)
         assert report.flagged == ("11A",)
 
     def test_too_few_frames(self, session_geom, clean_frames):
         with pytest.raises(Exception):
-            drift_report(OraclePredictor(), clean_frames[:1], session_geom)
+            drift_report(OraclePredictor(), clean_frames.take([0]), session_geom)
 
     def test_unordered_frames_rejected(self, session_geom, clean_frames):
-        shuffled = [clean_frames[5], clean_frames[2], clean_frames[9]]
+        shuffled = clean_frames.take([5, 2, 9])
         with pytest.raises(Exception, match="chronologically"):
             drift_report(OraclePredictor(), shuffled, session_geom)
 
@@ -300,7 +303,7 @@ class TestReadingsPredictorColumns:
     def test_predict_readings_matches_training_inputs(self, session_geom, clean_frames, kind):
         geom = session_geom
         predictor = self.model_predictor(kind, geom)
-        readings = np.stack([f.readings for f in clean_frames])
+        readings = clean_frames.readings
         if kind == "lprmnet":
             outputs = np.array([geom.detector_index(predictor.target)])
             want_inputs = corestate_batch(clean_frames)
@@ -328,7 +331,7 @@ class TestReadingsPredictorColumns:
     def test_axis_predictor_rejects_paired_target(self, session_geom, clean_frames):
         model = SurrogateNet(axis_surrogate_spec(hidden=8), seed=3)
         predictor = AxisDetectorPredictor(model, DetectorId(1, "A"))
-        readings = np.stack([f.readings for f in clean_frames])
+        readings = clean_frames.readings
         for serve in (lambda: predictor.predict(clean_frames, session_geom),
                       lambda: predictor.predict_readings(readings, session_geom)):
             with pytest.raises(DataError, match="symmetry axis"):

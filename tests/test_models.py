@@ -169,7 +169,7 @@ class TestLprmNet:
         spec = LprmNetSpec(conv_channels=4, trunk_hidden=16, trunk_out=8,
                            scalar_hidden=8, scalar_out=8, regression_hidden=8)
         net = LprmNet(spec, seed=1)
-        value = batched_predict(net, corestate_batch(frames[:1]))
+        value = batched_predict(net, corestate_batch(frames.take([0])))
         assert value.shape == (1, 1)
         assert np.isfinite(value[0, 0])
 
@@ -254,7 +254,7 @@ class TestDatasetAssembly:
         assert y.shape == (len(frames), 76)
         a_set = geom.detectors_in_set("A")
         idx0 = geom.detector_index(a_set[0])
-        np.testing.assert_array_equal(x[:, 0], np.stack([f.readings[idx0] for f in frames]))
+        np.testing.assert_array_equal(x[:, 0], frames.readings[:, idx0])
 
     def test_surrogate_arrays_reversed(self, geom, frames):
         x_ab, y_ab = mirror_set_arrays(frames, geom, "A")
@@ -269,21 +269,22 @@ class TestDatasetAssembly:
         assert x.shape == (len(frames), 171)
         assert y.shape == (len(frames), 1)
         idx = geom.detector_index(target)
-        np.testing.assert_array_equal(y[:, 0], np.stack([f.readings[idx] for f in frames]))
-        np.testing.assert_array_equal(x, np.delete(np.stack([f.readings for f in frames]),
-                                                   idx, axis=1))
+        np.testing.assert_array_equal(y[:, 0], frames.readings[:, idx])
+        np.testing.assert_array_equal(x, np.delete(frames.readings, idx, axis=1))
 
     def test_axis_detector_rejects_paired_target(self, geom, frames):
         with pytest.raises(DataError, match="symmetry axis"):
             axis_predictor(DetectorId(1, "A")).training_arrays(frames, geom)
 
     def test_corestate_batch_layout(self, frames):
-        batch = corestate_batch(frames[:3])
+        batch = corestate_batch(frames.take(slice(0, 3)))
         assert batch["np"].shape == (3, 25, 30, 30)
         assert batch["rv"].shape == (3, 24, 30, 30)
         assert batch["scalars"].shape == (3, 3)
-        np.testing.assert_array_equal(batch["np"][1, 4],
-                                      frames[1].state.nodal_power[:, :, 4])
+        np.testing.assert_array_equal(batch["np"][1, 4], frames.column("np")[1, :, :, 4])
+        np.testing.assert_array_equal(batch["rv"][2, 7], frames.column("rv")[2, :, :, 7])
+        np.testing.assert_array_equal(batch["scalars"], frames.column("scalars")[:3])
+        assert all(a.flags.c_contiguous for a in batch.values())
 
     def test_lprmnet_arrays(self, geom, frames):
         target = DetectorId(2, "B")
@@ -294,7 +295,7 @@ class TestDatasetAssembly:
             np.testing.assert_array_equal(inputs[key], value)
         assert y.shape == (len(frames), 1)
         idx = geom.detector_index(target)
-        np.testing.assert_array_equal(y[:, 0], np.stack([f.readings[idx] for f in frames]))
+        np.testing.assert_array_equal(y[:, 0], frames.readings[:, idx])
 
 
 class TestCheckpoints:

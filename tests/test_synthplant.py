@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from virtlprm.coredata import CoreState, DataError, DetectorId, default_geometry
+from virtlprm.coredata import ARCHIVE_FIELDS, DataError, DetectorId, default_geometry
 from virtlprm.synthplant import (
     LEVEL_AXIAL_NODE,
     PlantScenario,
     generate_cycle,
     generate_plant,
-    lprm_response_oracle,
     oracle_readings,
 )
 
@@ -22,9 +21,13 @@ def symmetric_cycle(geom):
     return generate_cycle(PlantScenario(cycle_id=1, frame_count=60, seed=314), geom)
 
 
-def state_with(np_arr, rv_arr, tp=1.0):
-    return CoreState(nodal_power=np_arr, rod_variable=rv_arr, thermal_power=tp,
-                     core_inlet_subcooling=1.0, core_flow=1.0)
+def oracle_of(np_arr, rv_arr, geom, tp=1.0):
+    """The oracle readings of one core state, a batch of one."""
+    return oracle_readings(np_arr[None], rv_arr[None], np.array([tp], dtype=np.float32), geom)[0]
+
+
+def oracle_of_table(frames, geom):
+    return oracle_readings(frames.column("np"), frames.column("rv"), frames.thermal_power, geom)
 
 
 class TestScenarioValidation:
@@ -41,14 +44,13 @@ class TestScenarioValidation:
 
 class TestOracle:
     def test_zero_power_means_zero_readings(self, geom):
-        st = state_with(np.zeros((30, 30, 25), dtype=np.float32),
-                        np.zeros((30, 30, 24), dtype=np.float32))
-        np.testing.assert_array_equal(lprm_response_oracle(st, geom), 0.0)
+        readings = oracle_of(np.zeros((30, 30, 25), dtype=np.float32),
+                             np.zeros((30, 30, 24), dtype=np.float32), geom)
+        np.testing.assert_array_equal(readings, 0.0)
 
     def test_uniform_power_no_rods_gives_equal_readings(self, geom):
-        st = state_with(np.full((30, 30, 25), 3.0, dtype=np.float32),
-                        np.zeros((30, 30, 24), dtype=np.float32), tp=0.5)
-        readings = lprm_response_oracle(st, geom)
+        readings = oracle_of(np.full((30, 30, 25), 3.0, dtype=np.float32),
+                             np.zeros((30, 30, 24), dtype=np.float32), geom, tp=0.5)
         np.testing.assert_allclose(readings, readings[0], rtol=1e-6)
         assert readings[0] == pytest.approx(0.5 * 3.0, rel=1e-6)
 
@@ -56,8 +58,8 @@ class TestOracle:
         rng = np.random.default_rng(0)
         np_arr = rng.random((30, 30, 25)).astype(np.float32)
         rv_arr = rng.random((30, 30, 24)).astype(np.float32)
-        r1 = lprm_response_oracle(state_with(np_arr, rv_arr), geom)
-        r2 = lprm_response_oracle(state_with(2.0 * np_arr, rv_arr), geom)
+        r1 = oracle_of(np_arr, rv_arr, geom)
+        r2 = oracle_of(2.0 * np_arr, rv_arr, geom)
         np.testing.assert_array_equal(r2, 2.0 * r1)
 
     def test_reflection_equivariance(self, geom):
@@ -65,9 +67,8 @@ class TestOracle:
         rng = np.random.default_rng(1)
         np_arr = rng.random((30, 30, 25)).astype(np.float32)
         rv_arr = rng.random((30, 30, 24)).astype(np.float32)
-        base = lprm_response_oracle(state_with(np_arr, rv_arr), geom)
-        mirrored = lprm_response_oracle(
-            state_with(np_arr.transpose(1, 0, 2), rv_arr.transpose(1, 0, 2)), geom)
+        base = oracle_of(np_arr, rv_arr, geom)
+        mirrored = oracle_of(np_arr.transpose(1, 0, 2), rv_arr.transpose(1, 0, 2), geom)
         for d in geom.detectors:
             p = geom.symmetry_partner(d) or d
             assert mirrored[geom.detector_index(d)] == base[geom.detector_index(p)]
@@ -78,7 +79,7 @@ class TestOracle:
         np_arr = rng.random((30, 30, 25)).astype(np.float32)
         rv_arr = rng.random((30, 30, 24)).astype(np.float32)
         tp = 0.97
-        got = lprm_response_oracle(state_with(np_arr, rv_arr, tp=tp), geom)
+        got = oracle_of(np_arr, rv_arr, geom, tp=tp)
         for d in list(geom.detectors)[::7]:
             r, c = geom.position_of(d.string_index)
             z = LEVEL_AXIAL_NODE[d.level]
@@ -97,70 +98,61 @@ class TestOracle:
         rng = np.random.default_rng(3)
         np_arr = rng.random((30, 30, 25)).astype(np.float32)
         rv_arr = np.zeros((30, 30, 24), dtype=np.float32)
-        r_half = lprm_response_oracle(state_with(np_arr, rv_arr, tp=0.5), geom)
-        r_full = lprm_response_oracle(state_with(np_arr, rv_arr, tp=1.0), geom)
+        r_half = oracle_of(np_arr, rv_arr, geom, tp=0.5)
+        r_full = oracle_of(np_arr, rv_arr, geom, tp=1.0)
         np.testing.assert_allclose(r_full, 2.0 * r_half, rtol=1e-6)
 
     def test_rod_shadowing_reduces_readings(self, geom):
         rng = np.random.default_rng(4)
         np_arr = rng.random((30, 30, 25)).astype(np.float32) + 0.5
-        no_rods = lprm_response_oracle(
-            state_with(np_arr, np.zeros((30, 30, 24), dtype=np.float32)), geom)
-        all_rods = lprm_response_oracle(
-            state_with(np_arr, np.ones((30, 30, 24), dtype=np.float32)), geom)
+        no_rods = oracle_of(np_arr, np.zeros((30, 30, 24), dtype=np.float32), geom)
+        all_rods = oracle_of(np_arr, np.ones((30, 30, 24), dtype=np.float32), geom)
         np.testing.assert_allclose(all_rods, 0.7 * no_rods, rtol=1e-6)
 
 
 class TestGenerator:
     def test_symmetric_cycle_partner_readings_equal_exactly(self, geom, symmetric_cycle):
-        for frame in symmetric_cycle[::9]:
+        for readings in symmetric_cycle.readings[::9]:
             for d in geom.detectors:
                 p = geom.symmetry_partner(d)
                 if p is None:
                     continue
-                assert frame.readings[geom.detector_index(d)] == \
-                    frame.readings[geom.detector_index(p)]
+                assert readings[geom.detector_index(d)] == readings[geom.detector_index(p)]
 
     def test_broken_symmetry_produces_unequal_partners(self, geom):
         frames = generate_cycle(PlantScenario(cycle_id=1, frame_count=3, seed=9,
                                               symmetry_fidelity=0.5), geom)
-        f = frames[1]
-        diffs = [abs(float(f.readings[geom.detector_index(d)])
-                     - float(f.readings[geom.detector_index(geom.symmetry_partner(d))]))
+        readings = frames.readings[1]
+        diffs = [abs(float(readings[geom.detector_index(d)])
+                     - float(readings[geom.detector_index(geom.symmetry_partner(d))]))
                  for d in geom.detectors_in_set("A")]
         assert max(diffs) > 1e-3
 
     def test_nbd_monotone_nondecreasing(self, symmetric_cycle):
-        stack = np.stack([f.rod_inputs.nodal_blade_depletion for f in symmetric_cycle])
-        assert np.all(np.diff(stack, axis=0) >= 0.0)
+        assert np.all(np.diff(symmetric_cycle.column("nbd"), axis=0) >= 0.0)
 
     def test_long_cycle_exercises_transient_filter(self, geom):
         frames = generate_cycle(PlantScenario(cycle_id=3, frame_count=2000, seed=42), geom)
-        below = sum(1 for f in frames if f.state.thermal_power < 0.9)
-        assert below >= 1
+        assert np.sum(frames.thermal_power < 0.9) >= 1
 
     def test_deterministic_function_of_scenario(self, geom):
         scenario = PlantScenario(cycle_id=2, frame_count=8, seed=7, noise_sigma=0.02)
         a = generate_cycle(scenario, geom)
         b = generate_cycle(scenario, geom)
-        for fa, fb in zip(a, b):
-            np.testing.assert_array_equal(fa.readings, fb.readings)
-            np.testing.assert_array_equal(fa.state.nodal_power, fb.state.nodal_power)
-            np.testing.assert_array_equal(fa.rod_inputs.rod_pattern, fb.rod_inputs.rod_pattern)
-            assert fa.state.thermal_power == fb.state.thermal_power
+        for name in ARCHIVE_FIELDS:
+            np.testing.assert_array_equal(a.column(name), b.column(name))
+        np.testing.assert_array_equal(a.timestamps, b.timestamps)
 
     def test_different_seeds_differ(self, geom):
         a = generate_cycle(PlantScenario(cycle_id=1, frame_count=2, seed=1), geom)
         b = generate_cycle(PlantScenario(cycle_id=1, frame_count=2, seed=2), geom)
-        assert not np.array_equal(a[0].readings, b[0].readings)
+        assert not np.array_equal(a.readings[0], b.readings[0])
 
     def test_drift_decays_reading_to_oracle_ratio(self, geom):
         frames = generate_cycle(PlantScenario(cycle_id=1, frame_count=120, seed=5,
                                               drift_rate=0.002), geom)
-        ratios = []
-        for f in (frames[0], frames[60], frames[119]):
-            oracle = lprm_response_oracle(f.state, geom)
-            ratios.append(float(np.median(f.readings / oracle)))
+        ratios = [float(np.median(row)) for row in
+                  (frames.readings / oracle_of_table(frames, geom))[[0, 60, 119]]]
         assert ratios[0] > ratios[1] > ratios[2]
         assert ratios[2] == pytest.approx(0.998 ** 119, rel=1e-4)
 
@@ -169,9 +161,7 @@ class TestGenerator:
         frames = generate_cycle(
             PlantScenario(cycle_id=1, frame_count=50, seed=6, drift_rate=0.01,
                           drift_detectors=frozenset({target})), geom)
-        last = frames[-1]
-        oracle = lprm_response_oracle(last.state, geom)
-        ratio = last.readings / oracle
+        ratio = (frames.readings / oracle_of_table(frames, geom))[-1]
         idx = geom.detector_index(target)
         assert ratio[idx] == pytest.approx(0.99 ** 49, rel=1e-4)
         others = np.delete(ratio, idx)
@@ -180,10 +170,7 @@ class TestGenerator:
     def test_noise_scale(self, geom):
         frames = generate_cycle(PlantScenario(cycle_id=1, frame_count=200, seed=8,
                                               noise_sigma=0.01), geom)
-        rel = []
-        for f in frames:
-            oracle = lprm_response_oracle(f.state, geom)
-            rel.extend((f.readings / oracle - 1.0).tolist())
+        rel = frames.readings / oracle_of_table(frames, geom) - 1.0
         assert np.std(rel) == pytest.approx(0.01, rel=0.1)
 
     def test_generate_plant_concatenates_cycles(self, geom):
@@ -191,23 +178,24 @@ class TestGenerator:
             PlantScenario(cycle_id=1, frame_count=4, seed=0),
             PlantScenario(cycle_id=2, frame_count=3, seed=0),
         ], geom)
-        assert [f.cycle_id for f in frames] == [1, 1, 1, 1, 2, 2, 2]
-        assert frames[0].timestamp < frames[4].timestamp
+        assert frames.cycles.tolist() == [1, 1, 1, 1, 2, 2, 2]
+        assert frames.timestamps[0] < frames.timestamps[4]
 
     def test_states_within_invariants(self, symmetric_cycle):
-        for f in symmetric_cycle[::13]:
-            assert f.state.nodal_power.min() >= 0.0
-            assert 0.0 <= f.state.rod_variable.min()
-            assert f.state.rod_variable.max() <= 1.0
-            assert f.state.nodal_power.mean() == pytest.approx(1.0, rel=1e-5)
+        for nodal_power, rod_variable in zip(symmetric_cycle.column("np")[::13],
+                                             symmetric_cycle.column("rv")[::13]):
+            assert nodal_power.min() >= 0.0
+            assert 0.0 <= rod_variable.min()
+            assert rod_variable.max() <= 1.0
+            assert nodal_power.mean() == pytest.approx(1.0, rel=1e-5)
 
 
 class TestOracleBatch:
     def test_batch_matches_single(self, geom, symmetric_cycle):
-        frames = symmetric_cycle[:5]
-        batch = oracle_readings(
-            np.stack([f.state.nodal_power for f in frames]),
-            np.stack([f.state.rod_variable for f in frames]),
-            np.array([f.state.thermal_power for f in frames], dtype=np.float32), geom)
-        for i, f in enumerate(frames):
-            np.testing.assert_array_equal(batch[i], lprm_response_oracle(f.state, geom))
+        frames = symmetric_cycle.take(slice(0, 5))
+        batch = oracle_of_table(frames, geom)
+        for i in range(len(frames)):
+            np.testing.assert_array_equal(batch[i], oracle_of(
+                frames.column("np")[i], frames.column("rv")[i], geom,
+                tp=frames.thermal_power[i]))
+        np.testing.assert_array_equal(batch, symmetric_cycle.readings[:5])

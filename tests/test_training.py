@@ -310,8 +310,8 @@ class TestTrainLoop:
         def run(p):
             model = SurrogateNet(SurrogateSpec(76, 76, (8,) * 6), seed=1)
             predictor = SetSurrogatePredictor(model, "A")
-            data = DataSplit(*predictor.training_arrays(frames[:30], geom),
-                             *predictor.training_arrays(frames[30:], geom))
+            data = DataSplit(*predictor.training_arrays(frames.take(slice(0, 30)), geom),
+                             *predictor.training_arrays(frames.take(slice(30, None)), geom))
             cfg = TrainConfig(max_lr=0.005, epochs=2, batch_size=16, seed=3, bypass_p=p)
             return train(model, data, cfg).history
 
