@@ -118,6 +118,10 @@ def _scenarios_from_config(config: dict):
             raise ConfigError(f"'cycles' entry {entry!r} is not an object")
         try:
             drift = entry.get("drift_detectors")
+            if drift is not None and not (isinstance(drift, list)
+                                          and all(isinstance(c, str) for c in drift)):
+                raise ConfigError(f"'drift_detectors' must be a list of detector codes, "
+                                  f"got {drift!r}")
             scenarios.append(PlantScenario(
                 cycle_id=int(entry["cycle_id"]),
                 frame_count=int(entry["frame_count"]),

@@ -327,6 +327,18 @@ class FrameTable:
         col = self._core(name)
         return col if self._rows is None else col[self._rows]
 
+    def _channel_first(self, name: str) -> np.ndarray:
+        """Column ``name`` of (N, H, W, D) maps as C-contiguous (N, D, H, W)
+        maps: one copy, each row gathered from the transposed view of the
+        whole column (fancy indexing or ``np.take`` on that view would copy
+        twice: to keep its layout, or to make the source contiguous)."""
+        col = self._core(name).transpose(0, 3, 1, 2)
+        rows = range(len(col)) if self._rows is None else self._rows
+        out = np.empty((len(rows),) + col.shape[1:], dtype=col.dtype)
+        for i, r in enumerate(rows):
+            out[i] = col[r]
+        return out
+
     @property
     def thermal_power(self) -> np.ndarray:
         """Each frame's thermal power, the first of its scalars."""

@@ -320,8 +320,8 @@ class LprmNet(_NetworkBase):
 def corestate_batch(table) -> dict[str, np.ndarray]:
     """Channel-first core-state arrays of a frame table: depth becomes the channel axis."""
     return {
-        "np": np.ascontiguousarray(table.column("np").transpose(0, 3, 1, 2)),
-        "rv": np.ascontiguousarray(table.column("rv").transpose(0, 3, 1, 2)),
+        "np": table._channel_first("np"),
+        "rv": table._channel_first("rv"),
         "scalars": table.column("scalars"),
     }
 

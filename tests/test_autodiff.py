@@ -180,6 +180,76 @@ class TestGelu:
         err = grad_check(lambda t: ad.tsum(ad.gelu(t)), x, step=1e-6)
         assert err < 1e-6
 
+    def test_float32_cdf_within_5e7_of_float64(self):
+        rng = np.random.default_rng(31)
+        x = np.concatenate([np.linspace(-8.0, 8.0, (1 << 21) + 1, dtype=np.float32),
+                            (rng.standard_normal(1 << 18) * 3.0).astype(np.float32),
+                            rng.uniform(-40.0, 40.0, 1 << 16).astype(np.float32)])
+        phi32 = ad._gelu_and_cdf(x)[1]
+        assert phi32.dtype == np.float32
+        exact = 0.5 * (1.0 + erf(x.astype(np.float64) / np.sqrt(2.0)))
+        assert np.abs(phi32 - exact).max() <= 5e-7
+
+    @staticmethod
+    def half_erf(x):
+        out, sq, poly = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+        ad._half_erf_block(x, out, sq, poly)
+        return out
+
+    def test_float32_erf_is_odd_bitwise(self):
+        x = np.linspace(-8.0, 8.0, 100_001, dtype=np.float32)
+        np.testing.assert_array_equal(self.half_erf(-x), -self.half_erf(x))
+
+    def test_float32_clamp_is_where_the_kernel_reaches_one_half(self):
+        clamp = np.float32(ad._HALF_ERF_CLAMP)
+        bits = np.arange(np.float32(2.0).view(np.int32), clamp.view(np.int32) + 1,
+                         dtype=np.int32)
+        half = self.half_erf(bits.view(np.float32))
+        assert half[-1] == 0.5 and (half[:-1] < 0.5).all()
+
+    def test_float32_saturates_exactly(self):
+        big = np.array([10.0, 4.0 * np.sqrt(2.0) + 1e-3, 50.0, 3e38], dtype=np.float32)
+        assert ad.gelu(Tensor(big)).data.tolist() == big.tolist()
+        assert ad.gelu(Tensor(-big)).data.tolist() == [0.0] * len(big)
+        assert ad.gelu(Tensor([10.0])).data[0] == 10.0
+
+    def test_float32_result_does_not_depend_on_block_size(self, monkeypatch):
+        x = Tensor(np.random.default_rng(32).standard_normal((5, 41)).astype(np.float32))
+        whole = ad.gelu(x).data
+        monkeypatch.setattr(ad, "GELU_BLOCK", 16)
+        np.testing.assert_array_equal(ad.gelu(x).data, whole)
+
+    def test_float64_is_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        xd = np.concatenate([rng.standard_normal(5000) * 3.0, [0.0, -7.5, 12.0]])
+        x = t64(xd, requires_grad=True)
+        y = ad.gelu(x)
+        phi = 0.5 * (1.0 + erf(xd * (1.0 / np.sqrt(2.0))))
+        np.testing.assert_array_equal(y.data, xd * phi)
+        g = rng.standard_normal(xd.shape)
+        pdf = np.exp(-0.5 * xd * xd) * (1.0 / np.sqrt(2.0 * np.pi))
+        np.testing.assert_array_equal(y.node.rule(g)[0], g * (phi + xd * pdf))
+
+    def test_float32_gradient_against_float64_differences(self):
+        rng = np.random.default_rng(34)
+        x = Tensor((rng.standard_normal((4, 8)) * 2.0).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
+        err = grad_check(lambda t: ad.tsum(ad.mul(ad.gelu(t), w)), x, step=1e-6, floor=1e-3)
+        assert err < 1e-3
+
+    def test_closure_keeps_only_input_and_cdf(self):
+        # spans several kernel blocks, so every per-block scratch buffer is exercised
+        x = Tensor(np.random.default_rng(35).standard_normal((3, ad.GELU_BLOCK))
+                   .astype(np.float32), requires_grad=True)
+        y = ad.gelu(x)
+        kept = [c.cell_contents for c in y.node.rule.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        others = [a for a in kept if a is not x.data]
+        assert len(kept) == 2 and len(others) == 1
+        phi = others[0]
+        assert (phi if phi.base is None else phi.base).nbytes == x.data.nbytes
+        np.testing.assert_array_equal(y.data, x.data * phi)
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -292,6 +362,47 @@ class TestBatchNorm:
             return ad.tsum(ad.mul(out, out))
 
         assert grad_check(f, x, step=1e-6) < 1e-6
+
+    @staticmethod
+    def reference_train(x, gamma, beta, running, g, eps=1e-5, momentum=0.1):
+        """Train-mode forward, running update and gradients by x.mean / x.var."""
+        n = x.shape[0]
+        mu = x.mean(axis=0)
+        var = x.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = (x - mu) * inv_std
+        running.mean[:] = (1.0 - momentum) * running.mean + momentum * mu
+        running.var[:] = (1.0 - momentum) * running.var + momentum * var * (n / (n - 1.0))
+        gsum = g.sum(axis=0)
+        gxhat_sum = (g * xhat).sum(axis=0)
+        gx = (gamma * inv_std / n) * (n * g - gsum - xhat * gxhat_sum)
+        return gamma * xhat + beta, (gx, gxhat_sum, gsum)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 7), (64, 256), (4, 8, 6, 5)],
+                             ids=["n=2", "dense", "batch_norm2d"])
+    def test_train_bit_identical_to_mean_var_formula(self, dtype, shape):
+        rng = np.random.default_rng(24)
+        x = Tensor((rng.standard_normal(shape) * 2.0 + 0.7).astype(dtype), requires_grad=True)
+        c = shape[1]
+        gamma = Tensor(rng.uniform(0.5, 1.5, c).astype(dtype), requires_grad=True)
+        beta = Tensor(rng.standard_normal(c).astype(dtype), requires_grad=True)
+        running, expected = RunningStats(c, dtype), RunningStats(c, dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        if len(shape) == 4:
+            out = ad.batch_norm2d(x, gamma, beta, running, "train")
+            flat = lambda a: a.transpose(0, 2, 3, 1).reshape(-1, c)  # noqa: E731
+            want, _ = self.reference_train(flat(x.data), gamma.data, beta.data, expected,
+                                           flat(g))
+            np.testing.assert_array_equal(flat(out.data), want)
+        else:
+            out = ad.batch_norm(x, gamma, beta, running, "train")
+            want, want_grads = self.reference_train(x.data, gamma.data, beta.data, expected, g)
+            assert out.data.tobytes() == want.tobytes()
+            for got, ref in zip(out.node.rule(g), want_grads):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert running.mean.tobytes() == expected.mean.tobytes()
+        assert running.var.tobytes() == expected.var.tobytes()
 
     def test_running_stats_move_toward_batch(self):
         rng = np.random.default_rng(23)

@@ -183,6 +183,17 @@ def test_config_value_of_wrong_type_is_config_error(small_archive, tmp_path, mon
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("drift", ["ab", "3A", 5, {"3A": 1}, [5]])
+def test_drift_detectors_not_a_list_of_codes_is_config_error(tmp_path, capsys, drift):
+    cfg = write_gen_config(tmp_path / "g.json", [{"cycle_id": 1, "frame_count": 4, "seed": 1,
+                                                  "drift_detectors": drift}])
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error") and "drift_detectors" in captured.err
+    assert not (tmp_path / "run").exists()
+
+
 class TestTrain:
     def test_writes_checkpoint_and_history(self, trained_run):
         out = trained_run["out_dir"]

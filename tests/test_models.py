@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,31 @@ class TestDatasetAssembly:
         np.testing.assert_array_equal(batch["rv"][2, 7], frames.column("rv")[2, :, :, 7])
         np.testing.assert_array_equal(batch["scalars"], frames.column("scalars")[:3])
         assert all(a.flags.c_contiguous for a in batch.values())
+
+    @pytest.mark.parametrize("rows", [None, slice(2, 9), [7, 0, 7, 3], "mask", "nested"])
+    def test_corestate_batch_is_one_copy_of_the_transposed_columns(self, frames, rows):
+        if rows is None:
+            table = frames
+        elif rows == "mask":
+            table = frames.take(np.arange(len(frames)) % 3 != 1)
+        elif rows == "nested":
+            table = frames.take(slice(1, None)).take([4, 0, 2])
+        else:
+            table = frames.take(rows)
+        table.column("np")  # the archive's columns are read before measuring
+        tracemalloc.start()
+        try:
+            batch = corestate_batch(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for name in ("np", "rv"):
+            old = np.ascontiguousarray(table.column(name).transpose(0, 3, 1, 2))
+            assert batch[name].flags.c_contiguous
+            assert batch[name].dtype == old.dtype and batch[name].shape == old.shape
+            assert batch[name].tobytes() == old.tobytes()
+        out_bytes = batch["np"].nbytes + batch["rv"].nbytes + batch["scalars"].nbytes
+        assert peak < out_bytes + (64 << 10)
 
     def test_lprmnet_arrays(self, geom, frames):
         target = DetectorId(2, "B")
