@@ -50,6 +50,7 @@ from .models import (
 )
 from .synthplant import PlantScenario, generate_plant
 from .training import (
+    PREDICT_CHUNK,
     DataSplit,
     DivergenceError,
     TrainConfig,
@@ -359,6 +360,11 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+# ``infer``'s format of one reading: 9 significant digits identify any float32
+# exactly (FLT_DECIMAL_DIG), where a float64 repr prints up to 17
+READING_FORMAT = "%.9g"
+
+
 def cmd_infer(args) -> int:
     geom = _resolve_geometry(args.geometry)
     bypassed = _parse_bypass_list(args.bypass)
@@ -371,13 +377,18 @@ def cmd_infer(args) -> int:
     # the readings, timestamps and bypass sets only: no core-state blob is read
     archive = load_archive(_existing(args.archive, "archive"))
     readings, mask = sensor.infer(archive, bypassed)
-    codes = {}  # one code list per distinct mask row
-    for stamp, row, marked in zip(archive.timestamps.tolist(), readings.tolist(), mask):
-        key = marked.tobytes()
-        if key not in codes:
-            codes[key] = list(sensor.virtual_codes(marked))
-        line = {"timestamp": stamp, "readings": row, "virtual": codes[key]}
-        sys.stdout.write(json.dumps(line, sort_keys=True) + "\n")
+    # keys and separators as json.dumps(record, sort_keys=True) writes them
+    line = ('{"readings": [' + ", ".join([READING_FORMAT] * readings.shape[1])
+            + '], "timestamp": %d, "virtual": %s}\n')
+    codes = {}  # one encoded code list per distinct mask row
+    for lo in range(0, len(readings), PREDICT_CHUNK):  # Python floats for one chunk at a time
+        rows = slice(lo, lo + PREDICT_CHUNK)
+        for stamp, row, marked in zip(archive.timestamps[rows].tolist(),
+                                      readings[rows].tolist(), mask[rows]):
+            key = marked.tobytes()
+            if key not in codes:
+                codes[key] = json.dumps(list(sensor.virtual_codes(marked)))
+            sys.stdout.write(line % (*row, stamp, codes[key]))
     return EXIT_OK
 
 

@@ -296,7 +296,8 @@ class VirtualSensor:
 
         Each part runs once over all rows, and only if it covers a masked
         entry. A non-finite reading raises ``DataError`` naming the
-        detector and the row's timestamp, unless its detector is bypassed.
+        detector and the row's timestamp, unless its detector is bypassed;
+        so does a non-finite prediction, before any value is returned.
         """
         geom = self.geom
         readings, timestamps = table.readings, table.timestamps
@@ -322,6 +323,11 @@ class VirtualSensor:
             if hit.any():
                 pred = part.predict_readings(inputs, geom)[:, idx]
                 out[:, idx] = np.where(hit, pred, out[:, idx])
+        bad = np.argwhere(~np.isfinite(out))  # measured entries are finite: checked above
+        if bad.size:
+            row, col = bad[0]
+            raise DataError(f"non-finite virtual reading {out[row, col]} for detector "
+                            f"{geom.detectors[col].code} at timestamp {timestamps[row]}")
         return out, mask
 
     def virtual_codes(self, mask_row: np.ndarray) -> tuple:

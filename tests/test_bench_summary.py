@@ -86,3 +86,27 @@ def test_two_runs_of_one_seed_are_refused(tmp_path):
         (change_dir / "serve-seed1-trace0-1.json").read_text())
     with pytest.raises(SystemExit, match="two runs of serve on seed 1"):
         load_tool().summarise(parent_dir, change_dir, BENCHMARK)
+
+
+def test_mixed_source_trees_are_refused(tmp_path, capsys):
+    parent_dir, change_dir = run_dirs(tmp_path, {"parent": [1.0, 2.0], "change": [1.0, 2.0]})
+    run = json.loads((change_dir / "serve-seed2-trace0-2.json").read_text())
+    run["meta"]["src_sha256"] = "cc"
+    (change_dir / "serve-seed2-trace0-2.json").write_text(json.dumps(run))
+    with pytest.raises(SystemExit) as exit_info:
+        load_tool().main([str(parent_dir), str(change_dir), "--out", str(tmp_path / "B.json")])
+    assert exit_info.value.code == 2
+    assert "change runs come from 2 source trees (src_sha256 bb, cc)" in capsys.readouterr().err
+    assert not (tmp_path / "B.json").exists()
+
+
+def test_self_comparison_is_refused(tmp_path, capsys):
+    parent_dir, change_dir = run_dirs(tmp_path, {"parent": [1.0], "change": [1.0]})
+    for path in change_dir.glob("*.json"):
+        run = json.loads(path.read_text())
+        run["meta"]["src_sha256"] = "aa"
+        path.write_text(json.dumps(run))
+    with pytest.raises(SystemExit) as exit_info:
+        load_tool().main([str(parent_dir), str(change_dir), "--out", str(tmp_path / "B.json")])
+    assert exit_info.value.code == 2
+    assert "the same source tree (src_sha256 aa)" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from virtlprm.cli import main
+from virtlprm.cli import READING_FORMAT, main
 from virtlprm.coredata import DetectorId, default_geometry, load_archive, save_archive
 from virtlprm.evaluation import SetSurrogatePredictor, VirtualSensor
 from virtlprm.models import LprmNet, LprmNetSpec, load_checkpoint, save_checkpoint
@@ -653,6 +653,23 @@ class TestBatchedInfer:
         assert out == ""
         assert "11A" in err and str(stamp) in err
 
+    def test_non_finite_virtual_reading_is_data_error(self, trained_run, small_archive,
+                                                      tmp_path, capsys):
+        # finite inputs pass the input check, but overflow the model fed by set A
+        geom = default_geometry()
+
+        def flood(frames):
+            frames.readings[3, geom.indices_for_set("A")] = 3e38
+
+        archive = write_edited_archive(small_archive, tmp_path / "huge", flood)
+        stamp = load_archive(archive).timestamps[3]
+        code, out, err = self.run_infer(capsys, trained_run["out_dir"] / "checkpoint",
+                                        archive, "12B")
+        assert code == 3
+        assert out == ""
+        assert "non-finite virtual reading" in err
+        assert "12B" in err and str(stamp) in err
+
     def test_non_finite_bypassed_reading_is_zeroed(self, trained_run, trained_ba,
                                                    small_archive, tmp_path, capsys):
         # 11A is an input of the set-A model: bypassed, its NaN or inf must
@@ -679,6 +696,46 @@ class TestBatchedInfer:
         rows = np.array([json.loads(line)["readings"] for line in outputs[0].splitlines()])
         assert rows.shape == (70, geom.detector_count)
         assert np.all(np.isfinite(rows))
+
+
+class TestInferLines:
+    """Each ``infer`` line is ``json.dumps(record, sort_keys=True)``'s layout,
+    with every reading printed at 9 significant digits, exactly its float32."""
+
+    def test_keys_and_reencoding(self, trained_run, small_archive, capsys):
+        ckpt = trained_run["out_dir"] / "checkpoint"
+        assert main(["infer", "--checkpoint", str(ckpt), "--archive", str(small_archive),
+                     "--bypass", "6A,12B"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        geom = default_geometry()
+        sensor = VirtualSensor(geom, [SetSurrogatePredictor(load_checkpoint(ckpt), "A")])
+        frames = load_archive(small_archive)
+        want, mask = sensor.infer(frames, [DetectorId.parse("6A"), DetectorId.parse("12B")])
+        assert len(lines) == len(frames)
+        for row, line in enumerate(lines):
+            record = json.loads(line)
+            assert list(record) == ["readings", "timestamp", "virtual"]
+            record["readings"] = [float(np.float32(v)) for v in record["readings"]]
+            # the line the float64-repr encoder writes for the same values
+            reference = {"timestamp": int(frames.timestamps[row]),
+                         "readings": want[row].tolist(),
+                         "virtual": list(sensor.virtual_codes(mask[row]))}
+            assert json.dumps(record, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+    def test_reading_format_round_trips_float32(self):
+        rng = np.random.default_rng(13)
+        bits = rng.integers(0, 2 ** 32, size=200_000, dtype=np.uint32)
+        finfo = np.finfo(np.float32)
+        edges = np.array([0.0, -0.0, 1e-45, finfo.smallest_normal, finfo.max, -finfo.max],
+                         dtype=np.float32)
+        largest_subnormal = np.array([0x007FFFFF], dtype=np.uint32).view(np.float32)
+        values = np.concatenate([bits.view(np.float32), edges, largest_subnormal])
+        values = values[np.isfinite(values)]
+        parsed = np.array([float(READING_FORMAT % v) for v in values.tolist()])
+        assert np.array_equal(parsed.astype(np.float32).view(np.uint32),
+                              values.view(np.uint32))
+        wide = values.astype(np.float64)
+        assert np.all(np.abs(parsed - wide) <= 5e-9 * np.abs(wide))
 
 
 def poison_blob(archive, name, offset=0):

@@ -7,7 +7,9 @@ checkouts (or any directories of its ``<workload>-seed<s>-trace<t>-<pid>.json``
 result files). Untraced full-size runs are read; traced and smoke runs are
 skipped. A parent run and a change run of the same workload and seed form a
 pair; a seed run on one side only is listed as unpaired and counts in no
-median. For each workload, side and end-to-end metric of ``BENCHMARK.json``
+median. Each side's runs must come from one source tree (one ``src_sha256``),
+and the two sides from two different ones; anything else is refused with exit
+code 2. For each workload, side and end-to-end metric of ``BENCHMARK.json``
 the summary holds the median, the quartiles and the run values, and for each
 metric the pairs each side won (ties count for neither) and the per-pair
 ratios change / parent. Each side also records what the runs say about the
@@ -81,9 +83,26 @@ def side_summary(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+class RefusedComparison(ValueError):
+    """The two sides' runs do not compare one source tree against another."""
+
+
+def source_of(runs: dict, side: str):
+    """The one ``src_sha256`` of a side's runs; a side of mixed sources is refused."""
+    shas = sorted({str(r["meta"].get("src_sha256")) for r in runs.values()})
+    if len(shas) > 1:
+        raise RefusedComparison(f"{side} runs come from {len(shas)} source trees "
+                                f"(src_sha256 {', '.join(shas)}); summarise one tree per side")
+    return shas[0] if shas else None
+
+
 def summarise(parent_dir: Path, change_dir: Path, benchmark: dict) -> dict:
     metrics = benchmark["end_to_end"]
     parent, change = load_runs(parent_dir), load_runs(change_dir)
+    source, change_source = source_of(parent, "parent"), source_of(change, "change")
+    if source is not None and source == change_source:
+        raise RefusedComparison(f"parent and change runs come from the same source tree "
+                                f"(src_sha256 {source}); nothing is compared")
     workloads = {}
     for name in sorted({w for w, _ in parent} | {w for w, _ in change}):
         seeds = sorted(s for w, s in parent if w == name and (w, s) in change)
@@ -123,7 +142,10 @@ def main(argv=None) -> int:
     ap.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
     args = ap.parse_args(argv)
     benchmark = json.loads(args.benchmark.read_text(encoding="utf-8"))
-    summary = summarise(args.parent_runs, args.change_runs, benchmark)
+    try:
+        summary = summarise(args.parent_runs, args.change_runs, benchmark)
+    except RefusedComparison as err:
+        ap.error(str(err))  # exit 2
     args.out.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for name, w in summary["workloads"].items():
         print(f"{name}: {w['pairs']} pairs")
