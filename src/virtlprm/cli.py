@@ -101,8 +101,14 @@ def _env_seed(seed):
         raise ConfigError(f"VIRTLPRM_SEED must be an integer, got {override!r}") from None
 
 
-def _parse_bypass_list(text: str):
-    return [DetectorId.parse(tok) for tok in text.split(",") if tok.strip()]
+def _parse_bypass_list(text: str, geom):
+    """The detectors of a comma-separated code list; a code that does not
+    parse, or names no detector of ``geom``, is a ``ConfigError``."""
+    codes = [tok.strip() for tok in text.split(",") if tok.strip()]
+    try:
+        return [_detector(code, geom) for code in codes]
+    except DataError as err:
+        raise ConfigError(f"--bypass {','.join(codes)}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +324,6 @@ def _predictor_for_checkpoint(path, geom):
     return role.predictor(model, target)
 
 
-def _serving_predictor(path, geom):
-    """A checkpoint's predictor for ``infer``: one with a readings path."""
-    predictor = _predictor_for_checkpoint(path, geom)
-    if not hasattr(predictor, "predict_readings"):
-        raise ConfigError(f"checkpoint {path} cannot serve virtual readings")
-    return predictor
-
-
 def _combined_predictor(checkpoints, geom):
     if len(checkpoints) == 1 and checkpoints[0] == "oracle":
         return OraclePredictor()
@@ -367,14 +365,14 @@ READING_FORMAT = "%.9g"
 
 def cmd_infer(args) -> int:
     geom = _resolve_geometry(args.geometry)
-    bypassed = _parse_bypass_list(args.bypass)
-    sensor = VirtualSensor(geom, [_serving_predictor(path, geom) for path in args.checkpoint])
+    bypassed = _parse_bypass_list(args.bypass, geom)
+    sensor = VirtualSensor(geom, [_predictor_for_checkpoint(p, geom) for p in args.checkpoint])
     try:
         sensor.check_coverage(bypassed)  # validate before any output is emitted
     except CoverageError as err:
         raise ConfigError(str(err)) from None
 
-    # the readings, timestamps and bypass sets only: no core-state blob is read
+    # the readings, timestamps and bypass sets; the core state only for an LprmNet part
     archive = load_archive(_existing(args.archive, "archive"))
     readings, mask = sensor.infer(archive, bypassed)
     # keys and separators as json.dumps(record, sort_keys=True) writes them
@@ -449,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_infer = sub.add_parser("infer", help="stream virtual readings as JSON lines")
     p_infer.add_argument("--checkpoint", action="append", required=True,
-                         help="surrogate/axis checkpoint directory; repeatable")
+                         help="checkpoint directory (surrogate, axis or LprmNet); "
+                              "repeatable")
     p_infer.add_argument("--archive", required=True, help="frame source archive")
     p_infer.add_argument("--bypass", default="",
                          help="comma-separated detector codes, e.g. '1A,6B'")

@@ -37,44 +37,31 @@ class OraclePredictor:
 
 class _ModelPredictor:
     """One trained ``model`` and the one decision of what it reads and
-    fills: ``model_inputs(table, readings, geom)`` is its input dict, given a
-    frame table and an (N, 172) readings matrix (the table's own, or the
-    masked one ``infer`` serves), and ``covered(geom)`` the reading columns
-    it predicts. Training arrays and predictions both come from these two,
-    so they cannot disagree."""
+    fills: ``model_inputs(table, geom)`` is its input dict, read from a
+    frame table, and ``covered(geom)`` the reading columns it predicts.
+    Training arrays and predictions both come from these two, so they
+    cannot disagree."""
 
     def training_arrays(self, table: FrameTable, geom: CoreGeometry):
         """The model's inputs and its target columns of the table's readings."""
-        return (self.model_inputs(table, table.readings, geom),
-                table.readings[:, self.covered(geom)])
+        return self.model_inputs(table, geom), table.readings[:, self.covered(geom)]
 
     def predict(self, table: FrameTable, geom: CoreGeometry) -> np.ndarray:
-        return self._fill(len(table), geom, self.model_inputs(table, table.readings, geom))
-
-    def _fill(self, n: int, geom: CoreGeometry, inputs: dict) -> np.ndarray:
-        """(n, 172) predictions of the model on ``inputs``, NaN outside its columns."""
-        out = np.full((n, geom.detector_count), np.nan, dtype=np.float32)
-        out[:, self.covered(geom)] = batched_predict(self.model, inputs)
+        """(N, 172) predictions of the model, NaN outside its columns."""
+        out = np.full((len(table), geom.detector_count), np.nan, dtype=np.float32)
+        out[:, self.covered(geom)] = batched_predict(self.model, self.model_inputs(table, geom))
         return out
 
 
 class _SurrogatePredictor(_ModelPredictor):
     """One SurrogateNet fed measured readings: ``columns(geom)`` names the
-    (input, output) columns of the 172-wide readings vector.
-
-    ``predict_readings`` maps an (N, 172) readings matrix to (N, 172)
-    predictions through the same inputs and fill as ``predict``, so
-    ``infer`` serves what ``eval`` scores.
-    """
+    (input, output) columns of the 172-wide readings vector."""
 
     def covered(self, geom: CoreGeometry) -> np.ndarray:
         return self.columns(geom)[1]
 
-    def model_inputs(self, table, readings: np.ndarray, geom: CoreGeometry) -> dict:
-        return {"x": readings[:, self.columns(geom)[0]]}
-
-    def predict_readings(self, readings: np.ndarray, geom: CoreGeometry) -> np.ndarray:
-        return self._fill(len(readings), geom, self.model_inputs(None, readings, geom))
+    def model_inputs(self, table: FrameTable, geom: CoreGeometry) -> dict:
+        return {"x": table.readings[:, self.columns(geom)[0]]}
 
 
 class SetSurrogatePredictor(_SurrogatePredictor):
@@ -116,7 +103,7 @@ class LprmNetPredictor(_ModelPredictor):
     def covered(self, geom: CoreGeometry) -> np.ndarray:
         return np.array([geom.detector_index(self.target)], dtype=np.intp)
 
-    def model_inputs(self, table: FrameTable, readings: np.ndarray, geom: CoreGeometry) -> dict:
+    def model_inputs(self, table: FrameTable, geom: CoreGeometry) -> dict:
         return corestate_batch(table)
 
 
@@ -266,8 +253,8 @@ class VirtualSensor:
     """Serves virtual readings for bypassed detectors from whichever of
     ``parts`` covers them: readings predictors (``SetSurrogatePredictor``
     for a paired set, ``AxisDetectorPredictor`` for one symmetry-axis
-    detector), composed by ``CompositePredictor``, so no two may cover the
-    same detector.
+    detector) or core-state ones (``LprmNetPredictor``), composed by
+    ``CompositePredictor``, so no two may cover the same detector.
 
     Bypassed inputs are zeroed before any model runs, so the result does
     not depend on prior virtual values: re-applying with the same bypass
@@ -277,10 +264,8 @@ class VirtualSensor:
     def __init__(self, geom: CoreGeometry, parts=()):
         self.geom = geom
         self.predictor = CompositePredictor(parts)
-        self.part_indices = self.predictor.part_indices(geom)
         self.coverage = np.zeros(geom.detector_count, dtype=bool)
-        for idx in self.part_indices:
-            self.coverage[idx] = True
+        self.coverage[self.predictor.covered(geom)] = True
 
     def check_coverage(self, bypassed) -> None:
         for d in bypassed:
@@ -291,11 +276,12 @@ class VirtualSensor:
     def infer(self, table: FrameTable, bypassed) -> tuple[np.ndarray, np.ndarray]:
         """Virtual readings of a frame table: its (N, 172) ``readings`` with
         ``bypassed`` and each frame's own bypassed set replaced by
-        predictions, and that (N, 172) bypass mask. No core-state column is
-        read.
+        predictions, and that (N, 172) bypass mask. A core-state column is
+        read only by a part whose model reads one (``LprmNetPredictor``).
 
-        Each part runs once over all rows, and only if it covers a masked
-        entry. A non-finite reading raises ``DataError`` naming the
+        The composite predictor runs once over all rows, on the table with
+        its masked entries zeroed: the ``predict`` that ``eval`` and
+        ``report`` score. A non-finite reading raises ``DataError`` naming the
         detector and the row's timestamp, unless its detector is bypassed;
         so does a non-finite prediction, before any value is returned.
         """
@@ -317,12 +303,9 @@ class VirtualSensor:
                             f"{geom.detectors[col].code} at timestamp {timestamps[row]}")
 
         inputs = np.where(mask, np.float32(0.0), readings)
-        out = inputs.copy()
-        for part, idx in zip(self.predictor.parts, self.part_indices):
-            hit = mask[:, idx]
-            if hit.any():
-                pred = part.predict_readings(inputs, geom)[:, idx]
-                out[:, idx] = np.where(hit, pred, out[:, idx])
+        masked = FrameTable(inputs, timestamps, table.cycles, table.column, table.bypassed)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is checked below
+            out = np.where(mask, self.predictor.predict(masked, geom), inputs)
         bad = np.argwhere(~np.isfinite(out))  # measured entries are finite: checked above
         if bad.size:
             row, col = bad[0]

@@ -2,13 +2,14 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from virtlprm.cli import READING_FORMAT, main
 from virtlprm.coredata import DetectorId, default_geometry, load_archive, save_archive
-from virtlprm.evaluation import SetSurrogatePredictor, VirtualSensor
+from virtlprm.evaluation import LprmNetPredictor, SetSurrogatePredictor, VirtualSensor
 from virtlprm.models import LprmNet, LprmNetSpec, load_checkpoint, save_checkpoint
 
 ARCHIVE_FILES = ("manifest.json", "np.bin", "rv.bin", "rp.bin", "nbd.bin",
@@ -525,6 +526,21 @@ class TestInfer:
         assert code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("code", ["xyz", "99A", "0A", "1E"])
+    def test_bad_bypass_code_is_config_error(self, trained_run, small_archive, capsys,
+                                             monkeypatch, code):
+        # a code that does not parse, or names no detector of the layout, is
+        # configuration: rejected before any checkpoint or archive is read
+        fail_on_archive_read(monkeypatch)
+        monkeypatch.setattr("virtlprm.cli.load_checkpoint",
+                            lambda path: pytest.fail(f"the checkpoint {path} was read"))
+        exit_code = main(["infer", "--checkpoint", str(trained_run["out_dir"] / "checkpoint"),
+                          "--archive", str(small_archive), "--bypass", f"6A,{code}"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        assert code.upper() in captured.err
+
 
 def write_edited_archive(source, dest, edit):
     """Copy of an archive with ``edit(frames)`` applied to its frame table."""
@@ -622,20 +638,30 @@ class TestBatchedInfer:
             assert captured.out == "", command
             assert "overlap" in captured.err, command
 
-    def test_lprmnet_checkpoint_is_config_error(self, trained_run, small_archive, tmp_path,
-                                                capsys):
-        net = LprmNet(LprmNetSpec(grid=(6, 6), power_channels=5, rod_channels=4,
-                                  conv_channels=4, trunk_hidden=8, trunk_out=4,
-                                  scalar_hidden=4, scalar_out=4, regression_hidden=4), seed=1)
+    def test_serves_lprmnet_checkpoint(self, trained_run, small_archive, tmp_path, capsys,
+                                       blob_reads):
+        # an LprmNet part is served from the archive's core state, bit for bit
+        # what its predictor's ``predict`` gives
+        geom = default_geometry()
+        frames = load_archive(small_archive)
+        _, height, width, depth = frames.column("np").shape
+        net = LprmNet(LprmNetSpec(grid=(height, width), power_channels=depth,
+                                  rod_channels=frames.column("rv").shape[3],
+                                  **SMALL_LPRMNET), seed=1)
         save_checkpoint(net, tmp_path / "lprmnet",
                         training_meta={"selector": "lprmnet:7C", "target": "7C"})
-        code = main(["infer", "--checkpoint", str(trained_run["out_dir"] / "checkpoint"),
-                     "--checkpoint", str(tmp_path / "lprmnet"), "--archive",
-                     str(small_archive), "--bypass", "7C"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "cannot serve virtual readings" in captured.err
+        del blob_reads[:]
+        code, out, _ = self.run_infer(capsys, tmp_path / "lprmnet", small_archive, "7C")
+        assert code == 0
+        assert blob_reads[0] == "readings.bin"
+        assert {"np.bin", "rv.bin", "scalars.bin"} <= set(blob_reads)
+        target = geom.detector_index(DetectorId.parse("7C"))
+        want = LprmNetPredictor(load_checkpoint(tmp_path / "lprmnet"),
+                                DetectorId.parse("7C")).predict(frames, geom)[:, target]
+        records = [json.loads(line) for line in out.splitlines()]
+        got = np.array([r["readings"][target] for r in records], dtype=np.float32)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert all(r["virtual"] == ["7C"] for r in records)
 
     def test_non_finite_reading_is_data_error(self, trained_run, small_archive, tmp_path,
                                               capsys):
@@ -663,11 +689,15 @@ class TestBatchedInfer:
 
         archive = write_edited_archive(small_archive, tmp_path / "huge", flood)
         stamp = load_archive(archive).timestamps[3]
-        code, out, err = self.run_infer(capsys, trained_run["out_dir"] / "checkpoint",
-                                        archive, "12B")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = self.run_infer(capsys, trained_run["out_dir"] / "checkpoint",
+                                            archive, "12B")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert code == 3
         assert out == ""
-        assert "non-finite virtual reading" in err
+        assert err.startswith("data error: non-finite virtual reading")
+        assert err.count("\n") == 1 and err.endswith("\n")
         assert "12B" in err and str(stamp) in err
 
     def test_non_finite_bypassed_reading_is_zeroed(self, trained_run, trained_ba,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from virtlprm.coredata import DataError, DetectorId
+from virtlprm.coredata import DataError, DetectorId, FrameTable
 from virtlprm.evaluation import (
     AxisDetectorPredictor,
     CompositePredictor,
@@ -287,7 +287,8 @@ class TestPairedPredictor:
 
 class TestReadingsPredictorColumns:
     """A model predictor feeds its model exactly the inputs its training
-    arrays hold, and fills only the columns its training targets hold."""
+    arrays hold, fills only the columns its training targets hold, and is
+    what ``VirtualSensor.infer`` serves."""
 
     @staticmethod
     def model_predictor(kind, geom):
@@ -300,7 +301,7 @@ class TestReadingsPredictorColumns:
         return SetSurrogatePredictor(model, kind[-2].upper())
 
     @pytest.mark.parametrize("kind", ["surrogate-ab", "surrogate-ba", "cset", "lprmnet"])
-    def test_predict_readings_matches_training_inputs(self, session_geom, clean_frames, kind):
+    def test_predict_and_infer_match_training_inputs(self, session_geom, clean_frames, kind):
         geom = session_geom
         predictor = self.model_predictor(kind, geom)
         readings = clean_frames.readings
@@ -324,15 +325,20 @@ class TestReadingsPredictorColumns:
         want = batched_predict(predictor.model, inputs)
         assert np.array_equal(got[:, outputs].view(np.uint32), want.view(np.uint32))
         assert np.all(np.isnan(np.delete(got, outputs, axis=1)))
-        if kind != "lprmnet":
-            served = predictor.predict_readings(readings, geom)
-            assert np.array_equal(served.view(np.uint32), got.view(np.uint32))
+
+        # infer serves predict, run on the table with the served columns zeroed
+        zeroed = readings.copy()
+        zeroed[:, outputs] = 0.0
+        table = FrameTable(zeroed, clean_frames.timestamps, clean_frames.cycles,
+                           clean_frames.column, clean_frames.bypassed)
+        want = predictor.predict(table, geom)[:, outputs]
+        served, mask = VirtualSensor(geom, [predictor]).infer(
+            clean_frames, [geom.detectors[i] for i in outputs])
+        assert np.array_equal(np.flatnonzero(mask.any(axis=0)), outputs)
+        assert np.array_equal(served[:, outputs].view(np.uint32), want.view(np.uint32))
 
     def test_axis_predictor_rejects_paired_target(self, session_geom, clean_frames):
         model = SurrogateNet(axis_surrogate_spec(hidden=8), seed=3)
         predictor = AxisDetectorPredictor(model, DetectorId(1, "A"))
-        readings = clean_frames.readings
-        for serve in (lambda: predictor.predict(clean_frames, session_geom),
-                      lambda: predictor.predict_readings(readings, session_geom)):
-            with pytest.raises(DataError, match="symmetry axis"):
-                serve()
+        with pytest.raises(DataError, match="symmetry axis"):
+            predictor.predict(clean_frames, session_geom)
