@@ -134,24 +134,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other, self))
 
-    def __radd__(self, other):
-        return add(_lift(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other, self))
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other, self))
-
-    def __rmul__(self, other):
-        return mul(_lift(other, self), self)
-
-    def __neg__(self):
-        return mul(self, _lift(-1.0, self))
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -243,15 +225,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def rule(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return Tensor._result(data, (a, b), rule)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def rule(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
     return Tensor._result(data, (a, b), rule)
 

@@ -115,6 +115,13 @@ def _parse_bypass_list(text: str, geom):
 # gen
 
 
+def _integer_field(entry: dict, name: str) -> int:
+    value = entry[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name!r} must be an integer, got {value!r}")
+    return value
+
+
 def _scenarios_from_config(config: dict):
     cycles = config.get("cycles")
     if not cycles or not isinstance(cycles, list):
@@ -130,9 +137,9 @@ def _scenarios_from_config(config: dict):
                 raise ConfigError(f"'drift_detectors' must be a list of detector codes, "
                                   f"got {drift!r}")
             scenarios.append(PlantScenario(
-                cycle_id=int(entry["cycle_id"]),
-                frame_count=int(entry["frame_count"]),
-                seed=_env_seed(int(entry["seed"])),
+                cycle_id=_integer_field(entry, "cycle_id"),
+                frame_count=_integer_field(entry, "frame_count"),
+                seed=_env_seed(_integer_field(entry, "seed")),
                 symmetry_fidelity=float(entry.get("symmetry_fidelity", 1.0)),
                 noise_sigma=float(entry.get("noise_sigma", 0.0)),
                 drift_rate=float(entry.get("drift_rate", 0.0)),
@@ -145,6 +152,9 @@ def _scenarios_from_config(config: dict):
             raise
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad cycle entry {entry}: {err}") from None
+    ids = [s.cycle_id for s in scenarios]
+    if len(set(ids)) != len(ids):
+        raise ConfigError(f"'cycle_id' values must be distinct, got {ids}")
     return scenarios
 
 

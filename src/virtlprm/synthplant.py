@@ -28,16 +28,10 @@ ROD_SHADOW = 0.3         # reading attenuation per unit of local rod variable
 NP_ROD_SUPPRESSION = 0.5  # nodal-power depression per unit of rod variable
 DIP_PROBABILITY = 0.004   # chance per frame of a sub-90%-power excursion
 
-# 3x3 window offsets grouped so mirrored offsets share a commutative pair
-# sum: diagonal-symmetric states then yield bitwise-equal partner readings.
-_OFFSET_GROUPS = (
-    ((0, 0),),
-    ((-1, -1),),
-    ((1, 1),),
-    ((-1, 0), (0, -1)),
-    ((-1, 1), (1, -1)),
-    ((0, 1), (1, 0)),
-)
+# The 3x3 window in its one summation order: the centre, the two diagonal
+# corners, then three mirror pairs. Each pair is summed before it joins the
+# total, so diagonal-symmetric states yield bitwise-equal partner readings.
+_WINDOW = ((0, 0), (-1, -1), (1, 1), (-1, 0), (0, -1), (-1, 1), (1, -1), (0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -68,32 +62,11 @@ class PlantScenario:
 # detector response oracle
 
 
-def _kernel_weight(di: int, dj: int) -> float:
-    return float(np.exp(-(di * di + dj * dj) / (2.0 * KERNEL_SIGMA ** 2)))
-
-
-def _detector_window(geom: CoreGeometry, row: int, col: int):
-    """Valid offset groups and their kernel weights for one string position."""
-    if not (0 <= row < geom.h and 0 <= col < geom.w):
-        raise DataError(f"detector position ({row}, {col}) outside the grid")
-    groups = []
-    for group in _OFFSET_GROUPS:
-        members = [(di, dj) for di, dj in group
-                   if 0 <= row + di < geom.h and 0 <= col + dj < geom.w]
-        if members:
-            groups.append(tuple(members))
-    return groups
-
-
-def _paired_sum(values_by_offset, groups):
-    """Fixed-order accumulation: group-internal sums first, then groups."""
-    total = None
-    for group in groups:
-        part = values_by_offset[group[0]]
-        for offset in group[1:]:
-            part = part + values_by_offset[offset]
-        total = part if total is None else total + part
-    return total
+def _window_sum(s: np.ndarray) -> np.ndarray:
+    """Sum the last axis of ``s`` in ``_WINDOW`` order, each mirror pair
+    (slots 3-4, 5-6 and 7-8) first."""
+    return (s[..., 0] + s[..., 1] + s[..., 2] + (s[..., 3] + s[..., 4])
+            + (s[..., 5] + s[..., 6]) + (s[..., 7] + s[..., 8]))
 
 
 def oracle_readings(np_stack: np.ndarray, rv_stack: np.ndarray,
@@ -103,34 +76,25 @@ def oracle_readings(np_stack: np.ndarray, rv_stack: np.ndarray,
     ``np_stack`` is (N, H, W, D), ``rv_stack`` (N, H, W, D'), and
     ``thermal_power`` (N,). Each detector reads the kernel-weighted nodal
     power in its 3x3 radial neighborhood at its axial node, scaled by
-    thermal power and attenuated by the mean local rod variable.
+    thermal power and attenuated by the mean local rod variable. Window
+    cells outside the grid are left out: their weights are 0.
     """
-    n = np_stack.shape[0]
-    out = np.empty((n, geom.detector_count), dtype=np.float32)
-    rv_depth = rv_stack.shape[3]
-    for d in geom.detectors:
-        row, col = geom.position_of(d.string_index)
-        z = LEVEL_AXIAL_NODE[d.level]
-        zr = min(z, rv_depth - 1)
-        groups = _detector_window(geom, row, col)
+    offsets = np.array(_WINDOW)
+    position = np.array([geom.position_of(d.string_index) for d in geom.detectors])
+    rows = position[:, :1] + offsets[:, 0]  # (detectors, 9)
+    cols = position[:, 1:] + offsets[:, 1]
+    inside = ((rows >= 0) & (rows < geom.h) & (cols >= 0) & (cols < geom.w)).astype(np.float32)
+    kernel = np.exp(-(offsets ** 2).sum(axis=1) / (2.0 * KERNEL_SIGMA ** 2)).astype(np.float32)
+    weights = kernel * inside
+    z = np.array([[LEVEL_AXIAL_NODE[d.level]] for d in geom.detectors])
+    zr = np.minimum(z, rv_stack.shape[3] - 1)
+    rows, cols = np.clip(rows, 0, geom.h - 1), np.clip(cols, 0, geom.w - 1)
 
-        np_vals = {}
-        rv_vals = {}
-        weights = {}
-        for group in groups:
-            for di, dj in group:
-                np_vals[(di, dj)] = np_stack[:, row + di, col + dj, z]
-                rv_vals[(di, dj)] = rv_stack[:, row + di, col + dj, zr]
-                weights[(di, dj)] = np.float32(_kernel_weight(di, dj))
-
-        weighted = {k: weights[k] * v for k, v in np_vals.items()}
-        norm = _paired_sum(weights, groups)
-        local_power = _paired_sum(weighted, groups) / norm
-        count = np.float32(sum(len(g) for g in groups))
-        local_rod = _paired_sum(rv_vals, groups) / count
-        attenuation = np.float32(1.0) - np.float32(ROD_SHADOW) * local_rod
-        out[:, geom.detector_index(d)] = thermal_power * local_power * attenuation
-    return out
+    # each gather is (N, detectors, 9)
+    local_power = _window_sum(weights * np_stack[:, rows, cols, z]) / _window_sum(weights)
+    local_rod = _window_sum(inside * rv_stack[:, rows, cols, zr]) / _window_sum(inside)
+    attenuation = np.float32(1.0) - np.float32(ROD_SHADOW) * local_rod
+    return (thermal_power[:, None] * local_power * attenuation).astype(np.float32, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +290,11 @@ def _fill_cycle(scenario: PlantScenario, geom: CoreGeometry, core: dict,
         core["scalars"][t] = (tp, subcool, flow)
 
     readings[:] = oracle_readings(core["np"], core["rv"], core["scalars"][:, 0], geom)
-    for t in range(scenario.frame_count):
-        if scenario.drift_rate > 0.0:
-            readings[t] *= np.where(model.drift_mask,
-                                    np.float32((1.0 - scenario.drift_rate) ** t),
-                                    np.float32(1.0))
-        if scenario.noise_sigma > 0.0:
-            rng_noise = np.random.default_rng([scenario.seed, scenario.cycle_id, t, 7])
-            readings[t] = readings[t] * (
-                1.0 + scenario.noise_sigma * rng_noise.standard_normal(readings.shape[1]))
+    frames = range(scenario.frame_count)
+    # Python's ``**``: numpy's ``power`` may round differently
+    drift = np.float32([(1.0 - scenario.drift_rate) ** t for t in frames])
+    readings[:, model.drift_mask] *= drift[:, None]
+    if scenario.noise_sigma > 0.0:
+        noise = np.stack([np.random.default_rng([scenario.seed, scenario.cycle_id, t, 7])
+                          .standard_normal(readings.shape[1]) for t in frames])
+        readings[:] = readings * (1.0 + scenario.noise_sigma * noise)

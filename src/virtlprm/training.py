@@ -6,6 +6,7 @@ best-validation checkpointing.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,6 +55,10 @@ class TrainConfig:
             raise ValueError(f"max_lr must be positive, got {self.max_lr}")
         if not 0.0 <= self.bypass_p <= 1.0:
             raise ValueError(f"bypass_p must lie in [0, 1], got {self.bypass_p}")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1 or self.batch_size < 2:
             raise ValueError("need at least 1 epoch and a batch size of at least 2")
 

@@ -184,6 +184,52 @@ def test_config_value_of_wrong_type_is_config_error(small_archive, tmp_path, mon
     assert not (tmp_path / "run").exists()
 
 
+def fail_on_generation(monkeypatch):
+    def refuse(scenarios, geom):
+        pytest.fail("frames were generated")
+    monkeypatch.setattr("virtlprm.cli.generate_plant", refuse)
+
+
+def test_repeated_cycle_id_is_config_error(tmp_path, monkeypatch, capsys):
+    fail_on_generation(monkeypatch)
+    cfg = write_gen_config(tmp_path / "g.json", [
+        {"cycle_id": 1, "frame_count": 24, "seed": 1},
+        {"cycle_id": 2, "frame_count": 4, "seed": 1},
+        {"cycle_id": 1, "frame_count": 24, "seed": 2}])
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error") and "cycle_id" in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("gen", "cycle_id", 1.9), ("gen", "frame_count", 12.7), ("gen", "seed", 2.5),
+    ("gen", "frame_count", True), ("gen", "cycle_id", "1"),
+    ("train", "epochs", 2.5), ("train", "batch_size", 8.5), ("train", "epochs", True),
+    ("train", "batch_size", "16")])
+def test_non_integer_setting_is_config_error(small_archive, tmp_path, monkeypatch, capsys,
+                                             command, key, value):
+    fail_on_archive_read(monkeypatch)
+    fail_on_generation(monkeypatch)
+    if command == "gen":
+        entry = {"cycle_id": 1, "frame_count": 4, "seed": 1, key: value}
+        cfg = write_gen_config(tmp_path / "g.json", [entry])
+        argv = ["gen", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    else:
+        cfg = train_config(tmp_path / "exp.json", small_archive, "surrogate-ab")
+        config = json.loads(cfg.read_text())
+        config["train"][key] = value
+        cfg.write_text(json.dumps(config))
+        argv = ["train", "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error") and key in captured.err
+    assert "must be an integer" in captured.err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("drift", ["ab", "3A", 5, {"3A": 1}, [5]])
 def test_drift_detectors_not_a_list_of_codes_is_config_error(tmp_path, capsys, drift):
     cfg = write_gen_config(tmp_path / "g.json", [{"cycle_id": 1, "frame_count": 4, "seed": 1,

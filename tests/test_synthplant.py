@@ -1,7 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from virtlprm.coredata import ARCHIVE_FIELDS, DataError, DetectorId, default_geometry
+from virtlprm.coredata import (
+    ARCHIVE_FIELDS,
+    DataError,
+    DetectorId,
+    default_geometry,
+    geometry_from_layout,
+)
 from virtlprm.synthplant import (
     LEVEL_AXIAL_NODE,
     PlantScenario,
@@ -14,6 +22,19 @@ from virtlprm.synthplant import (
 @pytest.fixture(scope="module")
 def geom():
     return default_geometry()
+
+
+@pytest.fixture(scope="module")
+def geoms(geom):
+    """The default layout, and an edge layout built from it with strings on
+    the grid border: set-C strings at the corners (0, 0) and (29, 29), and
+    one A/B mirror pair at (0, 5)/(5, 0), so their 3x3 windows reach
+    outside the grid."""
+    layout = geom.to_layout()
+    moved = {7: (0, 0), 38: (29, 29), 1: (0, 5), 6: (5, 0)}
+    for entry in layout["strings"]:
+        entry["row"], entry["col"] = moved.get(entry["index"], (entry["row"], entry["col"]))
+    return {"default": geom, "edge": geometry_from_layout(layout)}
 
 
 @pytest.fixture(scope="module")
@@ -62,37 +83,62 @@ class TestOracle:
         r2 = oracle_of(2.0 * np_arr, rv_arr, geom)
         np.testing.assert_array_equal(r2, 2.0 * r1)
 
-    def test_reflection_equivariance(self, geom):
-        # Reflecting the state permutes the readings by the partner map.
+    def test_reflection_equivariance(self, geoms):
+        # Reflecting the state permutes the readings by the partner map, and
+        # a diagonal-symmetric state gives bitwise-equal partner readings.
         rng = np.random.default_rng(1)
         np_arr = rng.random((30, 30, 25)).astype(np.float32)
         rv_arr = rng.random((30, 30, 24)).astype(np.float32)
-        base = oracle_of(np_arr, rv_arr, geom)
-        mirrored = oracle_of(np_arr.transpose(1, 0, 2), rv_arr.transpose(1, 0, 2), geom)
-        for d in geom.detectors:
-            p = geom.symmetry_partner(d) or d
-            assert mirrored[geom.detector_index(d)] == base[geom.detector_index(p)]
+        for geom in geoms.values():
+            base = oracle_of(np_arr, rv_arr, geom)
+            mirrored = oracle_of(np_arr.transpose(1, 0, 2), rv_arr.transpose(1, 0, 2), geom)
+            symmetric = oracle_of(np_arr + np_arr.transpose(1, 0, 2),
+                                  rv_arr + rv_arr.transpose(1, 0, 2), geom)
+            for d in geom.detectors:
+                p = geom.symmetry_partner(d) or d
+                assert mirrored[geom.detector_index(d)] == base[geom.detector_index(p)]
+                assert symmetric[geom.detector_index(d)] == symmetric[geom.detector_index(p)]
 
-    def test_matches_brute_force_reference(self, geom):
-        # Independent re-derivation: plain f64 loops, no pair grouping.
+    def test_matches_brute_force_reference(self, geoms):
+        # Independent re-derivation: plain f64 loops, no pair grouping; a
+        # window cell outside the grid is left out of every sum.
         rng = np.random.default_rng(2)
         np_arr = rng.random((30, 30, 25)).astype(np.float32)
         rv_arr = rng.random((30, 30, 24)).astype(np.float32)
         tp = 0.97
-        got = oracle_of(np_arr, rv_arr, geom, tp=tp)
-        for d in list(geom.detectors)[::7]:
-            r, c = geom.position_of(d.string_index)
-            z = LEVEL_AXIAL_NODE[d.level]
-            num = den = rods = count = 0.0
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    w = np.exp(-(di * di + dj * dj) / 2.0)
-                    num += w * float(np_arr[r + di, c + dj, z])
-                    den += w
-                    rods += float(rv_arr[r + di, c + dj, min(z, 23)])
-                    count += 1.0
-            expected = tp * (num / den) * (1.0 - 0.3 * rods / count)
-            assert got[geom.detector_index(d)] == pytest.approx(expected, rel=1e-5)
+        for geom in geoms.values():
+            got = oracle_of(np_arr, rv_arr, geom, tp=tp)
+            for d in geom.detectors:
+                r, c = geom.position_of(d.string_index)
+                z = LEVEL_AXIAL_NODE[d.level]
+                num = den = rods = count = 0.0
+                for di in (-1, 0, 1):
+                    for dj in (-1, 0, 1):
+                        if not (0 <= r + di < 30 and 0 <= c + dj < 30):
+                            continue
+                        w = np.exp(-(di * di + dj * dj) / 2.0)
+                        num += w * float(np_arr[r + di, c + dj, z])
+                        den += w
+                        rods += float(rv_arr[r + di, c + dj, min(z, 23)])
+                        count += 1.0
+                expected = tp * (num / den) * (1.0 - 0.3 * rods / count)
+                assert got[geom.detector_index(d)] == pytest.approx(expected, rel=1e-5)
+
+    # SHA-256 of the float32 readings of three random core states: a change
+    # to the summation order or the arithmetic of the window changes it
+    @pytest.mark.parametrize("layout, digest", [
+        ("default", "b606490007a1e6dfef6e60aa3669b0e3b02d71025868c11e8482ed20e2cbbd38"),
+        ("edge", "97c924580ab30fccc1a10adb3422ac40a071af1334347ff866eec83e9ec454f7"),
+    ])
+    def test_readings_are_pinned(self, layout, digest, geoms):
+        geom = geoms[layout]
+        rng = np.random.default_rng(6)
+        np_stack = rng.random((3, 30, 30, 25)).astype(np.float32)
+        rv_stack = rng.random((3, 30, 30, 24)).astype(np.float32)
+        tp = np.array([1.0, 0.93, 0.81], dtype=np.float32)
+        readings = oracle_readings(np_stack, rv_stack, tp, geom)
+        assert readings.dtype == np.float32
+        assert hashlib.sha256(readings.tobytes()).hexdigest() == digest
 
     def test_thermal_power_scales_readings(self, geom):
         rng = np.random.default_rng(3)
@@ -172,6 +218,23 @@ class TestGenerator:
                                               noise_sigma=0.01), geom)
         rel = frames.readings / oracle_of_table(frames, geom) - 1.0
         assert np.std(rel) == pytest.approx(0.01, rel=0.1)
+
+    def test_generated_columns_are_pinned(self, geom):
+        # SHA-256 over all six columns of three cycles: a drifting subset
+        # with noise and broken symmetry, all detectors drifting, and plain
+        frames = generate_plant([
+            PlantScenario(cycle_id=1, frame_count=12, seed=21, symmetry_fidelity=0.6,
+                          noise_sigma=0.01, drift_rate=0.01,
+                          drift_detectors=frozenset({DetectorId(5, "B"), DetectorId(12, "A")})),
+            PlantScenario(cycle_id=2, frame_count=8, seed=21, noise_sigma=0.02,
+                          drift_rate=0.005),
+            PlantScenario(cycle_id=3, frame_count=5, seed=21),
+        ], geom)
+        digest = hashlib.sha256()
+        for name in ARCHIVE_FIELDS:
+            digest.update(np.ascontiguousarray(frames.column(name)).tobytes())
+        assert digest.hexdigest() == \
+            "a92b42d11d32d90e48fbaca2aeeb91e6f7e22d2ec81d7f3467d09cfe2614640c"
 
     def test_generate_plant_concatenates_cycles(self, geom):
         frames = generate_plant([

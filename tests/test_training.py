@@ -357,3 +357,7 @@ class TestTrainConfig:
             TrainConfig(max_lr=0.1, bypass_p=1.5)
         with pytest.raises(ValueError):
             TrainConfig(max_lr=0.1, batch_size=1)
+        for bad in ({"epochs": 2.5}, {"batch_size": 8.0}, {"epochs": True}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                TrainConfig(max_lr=0.1, **bad)
+        assert TrainConfig(max_lr=0.1, epochs=np.int64(3)).epochs == 3
