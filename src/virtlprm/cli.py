@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,7 +49,7 @@ from .models import (
     paired_surrogate_spec,
     save_checkpoint,
 )
-from .synthplant import PlantScenario, generate_plant
+from .synthplant import PlantScenario, plant_blocks
 from .training import (
     PREDICT_CHUNK,
     DataSplit,
@@ -155,6 +156,8 @@ def _scenarios_from_config(config: dict):
     ids = [s.cycle_id for s in scenarios]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"'cycle_id' values must be distinct, got {ids}")
+    if ids != sorted(ids):  # timestamps follow cycle ids, so they would go backwards
+        raise ConfigError(f"'cycle_id' values must increase in config order, got {ids}")
     return scenarios
 
 
@@ -162,14 +165,17 @@ def cmd_gen(args) -> int:
     config = _load_json(args.config, "scenario config")
     geom = _resolve_geometry(config.get("geometry", "default"))
     scenarios = _scenarios_from_config(config)
-    frames = generate_plant(scenarios, geom)
-    save_archive(frames, args.out)
-    print(f"wrote {len(frames)} frames to {args.out}")
-    below = frames.thermal_power < 0.9  # at the column's float32 precision
+    below = Counter()  # frames under 90% rated power per cycle, at float32 precision
+
+    def blocks():
+        for block in plant_blocks(scenarios, geom):
+            below.update(block.cycles[block.thermal_power < 0.9].tolist())
+            yield block
+    save_archive(blocks(), args.out)
+    print(f"wrote {sum(s.frame_count for s in scenarios)} frames to {args.out}")
     for s in scenarios:
-        in_cycle = frames.cycles == s.cycle_id
-        print(f"  cycle {s.cycle_id}: {in_cycle.sum()} frames, "
-              f"{(in_cycle & below).sum()} below 90% rated power")
+        print(f"  cycle {s.cycle_id}: {s.frame_count} frames, "
+              f"{below[s.cycle_id]} below 90% rated power")
     return EXIT_OK
 
 

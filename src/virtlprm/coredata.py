@@ -11,6 +11,7 @@ sitting on the diagonal itself.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 from dataclasses import dataclass
@@ -27,6 +28,10 @@ ARCHIVE_SCHEMA = 1
 ARCHIVE_FIELDS = ("np", "rv", "rp", "nbd", "scalars", "readings")
 CORE_STATE_FIELDS = ARCHIVE_FIELDS[:-1]  # read on first use
 SCALAR_FIELDS = ("thermal_power", "core_inlet_subcooling", "core_flow")
+
+# The most core-state bytes one block of rows holds: every command reads,
+# checks, predicts and generates core state one block at a time.
+CORE_BLOCK_BYTES = 16 * 2 ** 20
 
 
 class DataError(ValueError):
@@ -255,32 +260,57 @@ _CORE_STATE = {
 }
 
 
-def _check_core_state(columns: dict, timestamps: np.ndarray) -> None:
-    """The five core-state columns of the frames stamped ``timestamps`` share
-    their frame count and radial grid and lie in their ranges. A fault is a
-    ``DataError`` naming the field and the timestamp of its first bad frame.
+def block_rows(shapes) -> int:
+    """How many rows of float32 fields, one per per-row shape in ``shapes``,
+    fit in ``CORE_BLOCK_BYTES``; at least 1."""
+    row_bytes = 4 * sum(int(np.prod(shape)) for shape in shapes)
+    return max(1, CORE_BLOCK_BYTES // max(row_bytes, 1))
 
-    Each column costs one min and one max; only a failing one is searched
-    frame by frame.
+
+def _check_core_state(shapes: dict, read, timestamps: np.ndarray) -> None:
+    """The five core-state fields of the frames stamped ``timestamps``, each
+    of full shape ``shapes[name]`` and read as rows ``lo`` to ``hi`` by
+    ``read(name, lo, hi)``, share their frame count and radial grid and lie
+    in their ranges. A fault is a ``DataError`` naming the field and the
+    timestamp of its first bad frame.
+
+    Fields are checked in turn, each block by block; a block costs one min
+    and one max, and only a failing one is searched frame by frame.
     """
     n = len(timestamps)
-    grid = columns["np"].shape[1:3]
+    grid = shapes["np"][1:3]
     for name, (label, ndim, low, high, rule) in _CORE_STATE.items():
-        col = columns[name]
+        shape = shapes[name]
         lead = (n,) + grid if ndim > 2 else (n, len(SCALAR_FIELDS))
-        if col.ndim != ndim or col.shape[:len(lead)] != lead:
-            raise DataError(f"core-state field {name!r} has shape {col.shape}, expected "
+        if len(shape) != ndim or shape[:len(lead)] != lead:
+            raise DataError(f"core-state field {name!r} has shape {shape}, expected "
                             f"{ndim} dimensions starting {lead}")
-        lo, hi = _min_max(col)
-        if low <= lo and hi <= high and np.isfinite(lo) and np.isfinite(hi):
-            continue
-        rows = col.reshape(n, -1)
-        i = int(np.argmin(np.all(np.isfinite(rows) & (rows >= low) & (rows <= high), axis=1)))
-        lo, hi = rows[i].min(), rows[i].max()
-        got = (f"range [{lo:.4g}, {hi:.4g}]" if np.isfinite(lo) and np.isfinite(hi)
-               else "non-finite values")
-        raise DataError(f"{label} {rule}, got {got} (field {name!r}, first in the frame "
-                        f"at timestamp {timestamps[i]})")
+        step = block_rows([shape[1:]])
+        for start in range(0, n, step):
+            block = read(name, start, start + step)
+            lo, hi = _min_max(block)
+            if low <= lo and hi <= high and np.isfinite(lo) and np.isfinite(hi):
+                continue
+            rows = block.reshape(len(block), -1)
+            i = int(np.argmin(np.all(np.isfinite(rows) & (rows >= low) & (rows <= high),
+                                     axis=1)))
+            lo, hi = rows[i].min(), rows[i].max()
+            got = (f"range [{lo:.4g}, {hi:.4g}]" if np.isfinite(lo) and np.isfinite(hi)
+                   else "non-finite values")
+            raise DataError(f"{label} {rule}, got {got} (field {name!r}, first in the frame "
+                            f"at timestamp {timestamps[start + i]})")
+
+
+class _ArrayColumns:
+    """Core-state columns held in memory, by field name: their full
+    ``shapes``, and ``read(name, lo, hi)``, a view of rows ``lo`` to ``hi``."""
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+        self.shapes = {name: col.shape for name, col in columns.items()}
+
+    def read(self, name: str, lo: int, hi: int) -> np.ndarray:
+        return self.columns[name][lo:hi]
 
 
 class FrameTable:
@@ -292,11 +322,11 @@ class FrameTable:
     each frame's frozenset of ``DetectorId``.
 
     The core-state columns (``CORE_STATE_FIELDS``) come from ``core``: the
-    five arrays by field name, checked here, or a function that returns one
-    field's whole column and reads and checks all five on its first call
-    (how ``load_archive`` defers them). ``column(name)`` returns a column;
-    ``take(rows)`` selects rows and copies a core-state column only when
-    ``column`` asks for it.
+    five arrays by field name, checked here, or an archive's blobs, read
+    only when asked for (how ``load_archive`` defers them). ``column(name)``
+    returns a column of the table's rows; ``take(rows)`` selects rows and
+    reads or copies no core state; ``blocks()`` cuts the table into
+    sub-tables that each hold at most ``CORE_BLOCK_BYTES`` of core state.
     """
 
     def __init__(self, readings, timestamps, cycles, core, bypassed=None):
@@ -310,10 +340,9 @@ class FrameTable:
             raise DataError(f"readings shaped {self.readings.shape} and {len(self.cycles)} "
                             f"cycle ids for {n} timestamps")
         if isinstance(core, dict):
-            columns = {name: np.asarray(core[name], dtype=np.float32)
-                       for name in CORE_STATE_FIELDS}
-            _check_core_state(columns, self.timestamps)
-            core = columns.__getitem__
+            core = _ArrayColumns({name: np.asarray(core[name], dtype=np.float32)
+                                  for name in CORE_STATE_FIELDS})
+            _check_core_state(core.shapes, core.read, self.timestamps)
         self._core = core
         self._rows = None  # the rows of ``_core``'s columns, None for all
 
@@ -324,20 +353,39 @@ class FrameTable:
         """The column of archive field ``name``, one row per frame."""
         if name == "readings":
             return self.readings
-        col = self._core(name)
-        return col if self._rows is None else col[self._rows]
+        return self._gather(name)
 
     def _channel_first(self, name: str) -> np.ndarray:
         """Column ``name`` of (N, H, W, D) maps as C-contiguous (N, D, H, W)
-        maps: one copy, each row gathered from the transposed view of the
-        whole column (fancy indexing or ``np.take`` on that view would copy
-        twice: to keep its layout, or to make the source contiguous)."""
-        col = self._core(name).transpose(0, 3, 1, 2)
-        rows = range(len(col)) if self._rows is None else self._rows
-        out = np.empty((len(rows),) + col.shape[1:], dtype=col.dtype)
-        for i, r in enumerate(rows):
-            out[i] = col[r]
+        maps, in one copy."""
+        return self._gather(name, channel_first=True)
+
+    def _gather(self, name: str, channel_first: bool = False) -> np.ndarray:
+        """The table's rows of core-state field ``name``: one read of each
+        run of consecutive rows, put in place with its last axis moved first
+        if ``channel_first``. A single run kept as read is returned as it is;
+        anything else is one copy."""
+        rows = np.arange(len(self)) if self._rows is None else self._rows
+        runs = np.split(rows, np.flatnonzero(np.diff(rows) != 1) + 1) if len(rows) else []
+        if not channel_first and len(runs) == 1:
+            return self._core.read(name, int(rows[0]), int(rows[-1]) + 1)
+        shape = self._core.shapes[name][1:]
+        out = np.empty((len(rows),) + (shape[-1:] + shape[:-1] if channel_first else shape),
+                       dtype=np.float32)
+        filled = 0
+        for run in runs:
+            part = self._core.read(name, int(run[0]), int(run[-1]) + 1)
+            out[filled:filled + len(run)] = np.moveaxis(part, -1, 1) if channel_first else part
+            filled += len(run)
         return out
+
+    def blocks(self, rows: int | None = None):
+        """The table's frames in order, as consecutive sub-tables of ``rows``
+        rows, by default ``block_rows`` of its core state (the last may be
+        shorter)."""
+        step = rows or block_rows(shape[1:] for shape in self._core.shapes.values())
+        for lo in range(0, len(self), step):
+            yield self.take(slice(lo, lo + step))
 
     @property
     def thermal_power(self) -> np.ndarray:
@@ -460,27 +508,41 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def save_archive(table: FrameTable, path) -> None:
-    """Write a frame table to a directory: manifest.json plus one flat f32le
-    binary per field, each written once from its column."""
-    if not len(table):
-        raise DataError("cannot archive an empty frame table")
+def save_archive(frames, path) -> None:
+    """Write frames to a directory: manifest.json plus one flat f32le binary
+    per field. ``frames`` is a frame table, or an iterable of frame tables
+    that are consecutive blocks of one; each block is appended to every
+    blob in turn, and a table is written one block at a time."""
+    if isinstance(frames, FrameTable):
+        if not len(frames):
+            raise DataError("cannot archive an empty frame table")
+        frames = frames.blocks()
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    shapes = {}
-    for name in ARCHIVE_FIELDS:
-        col = np.ascontiguousarray(table.column(name), dtype="<f4")
-        shapes[name] = list(col.shape[1:])
-        col.tofile(path / f"{name}.bin")
-    records = [{"timestamp": stamp, "cycle": cycle, "bypassed": sorted(d.code for d in marked)}
-               for stamp, cycle, marked in zip(table.timestamps.tolist(),
-                                               table.cycles.tolist(), table.bypassed)]
+    shapes, records = {}, []
+    with contextlib.ExitStack() as stack:
+        blobs = {}
+        for name in ARCHIVE_FIELDS:
+            # an old blob is removed, not truncated: on a 2-core Xeon VM,
+            # truncating blobs written in blocks cost a 500-frame `gen` 85 ms,
+            # removing them 6 ms
+            (path / f"{name}.bin").unlink(missing_ok=True)
+            blobs[name] = stack.enter_context(open(path / f"{name}.bin", "wb"))
+        for block in frames:
+            for name, blob in blobs.items():
+                col = np.ascontiguousarray(block.column(name), dtype="<f4")
+                shapes[name] = list(col.shape[1:])
+                col.tofile(blob)
+            records += [{"timestamp": stamp, "cycle": cycle,
+                         "bypassed": sorted(d.code for d in marked)}
+                        for stamp, cycle, marked in zip(block.timestamps.tolist(),
+                                                        block.cycles.tolist(), block.bypassed)]
     write_json(path / "manifest.json", {
         "format": "virtlprm-frames",
         "schema_version": ARCHIVE_SCHEMA,
         "dtype": "f32le",
-        "frame_count": len(table),
-        "cycle_ids": sorted(set(table.cycles.tolist())),
+        "frame_count": len(records),
+        "cycle_ids": sorted({rec["cycle"] for rec in records}),
         "shapes": shapes,
         "scalar_fields": list(SCALAR_FIELDS),
         "frames": records,
@@ -515,21 +577,13 @@ def read_manifest(directory, fmt: str, schema: int) -> dict:
     return manifest
 
 
-def read_blob(path) -> np.ndarray:
-    """A flat little-endian float32 blob; a missing file is a ``DataError``."""
+def read_blob(path, offset: int = 0, count: int = -1) -> np.ndarray:
+    """``count`` values (all by default) of a flat little-endian float32 blob,
+    from value ``offset`` on; a missing file is a ``DataError``."""
     try:
-        return np.fromfile(path, dtype="<f4")
+        return np.fromfile(path, dtype="<f4", count=count, offset=4 * offset)
     except OSError as err:
         raise DataError(f"cannot read {path}: {err.strerror or err}") from None
-
-
-def _read_field(path: Path, name: str, shape: tuple, count: int) -> np.ndarray:
-    """One field's blob as a (count, *shape) array; a wrong size is a ``DataError``."""
-    raw = read_blob(path / f"{name}.bin")
-    expected = count * int(np.prod(shape))
-    if raw.size != expected:
-        raise DataError(f"{name}.bin holds {raw.size} values, expected {expected}")
-    return raw.reshape((count,) + shape)
 
 
 def _check_blob_size(path: Path, name: str, shape: tuple, count: int) -> None:
@@ -544,28 +598,36 @@ def _check_blob_size(path: Path, name: str, shape: tuple, count: int) -> None:
         raise DataError(f"{name}.bin holds {size} bytes, expected {expected}")
 
 
-def _core_state_reader(path: Path, shapes: dict, timestamps: np.ndarray):
-    """A function returning one core-state column of the archive at ``path``:
-    its first call reads and checks all five blobs, later calls reuse them.
-    A failed read keeps nothing, so the next call reads again."""
-    columns = {}
+class _ArchiveColumns:
+    """The core-state blobs of the archive at ``path``: their full ``shapes``,
+    and ``read(name, lo, hi)``, one ``read_blob`` of rows ``lo`` to ``hi``.
+    The first read checks all five blobs over every frame, one block at a
+    time; a failed check is made again by the next read."""
 
-    def column(name: str) -> np.ndarray:
-        if not columns:
-            read = {field: _read_field(path, field, shapes[field], len(timestamps))
-                    for field in CORE_STATE_FIELDS}
-            _check_core_state(read, timestamps)
-            columns.update(read)
-        return columns[name]
-    return column
+    def __init__(self, path: Path, shapes: dict, timestamps: np.ndarray):
+        self.path, self.timestamps, self.checked = path, timestamps, False
+        self.shapes = {name: (len(timestamps),) + shapes[name] for name in CORE_STATE_FIELDS}
+
+    def read(self, name: str, lo: int, hi: int) -> np.ndarray:
+        if not self.checked:
+            _check_core_state(self.shapes, self._read, self.timestamps)
+            self.checked = True
+        return self._read(name, lo, hi)
+
+    def _read(self, name: str, lo: int, hi: int) -> np.ndarray:
+        shape = self.shapes[name]
+        hi, size = min(hi, shape[0]), int(np.prod(shape[1:]))
+        raw = read_blob(self.path / f"{name}.bin", lo * size, (hi - lo) * size)
+        return raw.reshape((hi - lo,) + shape[1:])
 
 
 def load_archive(path) -> FrameTable:
     """Open an archive directory as a frame table; it reads back bit-exactly.
 
     At open: the manifest, every blob's size (without reading it) and
-    ``readings.bin``. On the first use of a core-state column: the five
-    core-state blobs, checked together. A fault in either is a ``DataError``.
+    ``readings.bin``. On the first use of a core-state column: all five
+    core-state blobs, checked block by block. After that, only the rows a
+    column asks for are read. A fault in either is a ``DataError``.
     """
     path = Path(path)
     manifest = read_manifest(path, "virtlprm-frames", ARCHIVE_SCHEMA)
@@ -588,8 +650,8 @@ def load_archive(path) -> FrameTable:
                         f"frame_count is {count}")
     if len(shapes["readings"]) != 1:
         raise DataError(f"readings must be a flat vector, got shape {shapes['readings']}")
-    for name in CORE_STATE_FIELDS:
+    for name in ARCHIVE_FIELDS:
         _check_blob_size(path, name, shapes[name], count)
-    readings = _read_field(path, "readings", shapes["readings"], count)
-    return FrameTable(readings, timestamps, cycles, _core_state_reader(path, shapes, timestamps),
+    readings = read_blob(path / "readings.bin").reshape((count,) + shapes["readings"])
+    return FrameTable(readings, timestamps, cycles, _ArchiveColumns(path, shapes, timestamps),
                       bypassed)

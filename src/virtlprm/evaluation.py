@@ -13,7 +13,7 @@ import numpy as np
 from .coredata import LEVELS, CoreGeometry, DataError, DetectorId, FrameTable, write_json
 from .models import LprmNet, SurrogateNet, corestate_batch
 from .synthplant import oracle_readings
-from .training import batched_predict
+from .training import PREDICT_CHUNK, batched_predict
 
 
 class CoverageError(DataError):
@@ -24,6 +24,17 @@ class CoverageError(DataError):
 # predictors: anything that can fill (part of) a 172-wide reading vector
 
 
+def _by_block(table: FrameTable, geom: CoreGeometry, predict, rows=None) -> np.ndarray:
+    """The (N, 172) rows ``predict(block)`` gives for each of
+    ``table.blocks(rows)``, so one block's core state is held at a time."""
+    out = np.empty((len(table), geom.detector_count), dtype=np.float32)
+    lo = 0
+    for block in table.blocks(rows):
+        out[lo:lo + len(block)] = predict(block)
+        lo += len(block)
+    return out
+
+
 class OraclePredictor:
     """Analytic response model: predicts every detector from the core state."""
 
@@ -31,8 +42,8 @@ class OraclePredictor:
         return np.arange(geom.detector_count, dtype=np.intp)
 
     def predict(self, table: FrameTable, geom: CoreGeometry) -> np.ndarray:
-        return oracle_readings(table.column("np"), table.column("rv"), table.thermal_power,
-                               geom)
+        return _by_block(table, geom, lambda block: oracle_readings(
+            block.column("np"), block.column("rv"), block.thermal_power, geom))
 
 
 class _ModelPredictor:
@@ -105,6 +116,13 @@ class LprmNetPredictor(_ModelPredictor):
 
     def model_inputs(self, table: FrameTable, geom: CoreGeometry) -> dict:
         return corestate_batch(table)
+
+    def predict(self, table: FrameTable, geom: CoreGeometry) -> np.ndarray:
+        """Predictions one ``PREDICT_CHUNK`` of rows at a time: each block is
+        one batch of ``batched_predict``, so the float32 results, which BLAS
+        rounds by batch size, are those of a whole-table prediction."""
+        return _by_block(table, geom, lambda block: _ModelPredictor.predict(self, block, geom),
+                         PREDICT_CHUNK)
 
 
 class CompositePredictor:
@@ -279,9 +297,11 @@ class VirtualSensor:
         predictions, and that (N, 172) bypass mask. A core-state column is
         read only by a part whose model reads one (``LprmNetPredictor``).
 
-        The composite predictor runs once over all rows, on the table with
-        its masked entries zeroed: the ``predict`` that ``eval`` and
-        ``report`` score. A non-finite reading raises ``DataError`` naming the
+        The composite predictor runs on the table with its masked entries
+        zeroed, one ``PREDICT_CHUNK`` of rows at a time: one batch of each
+        model, the batches of a whole-table ``predict``, so the results are
+        those ``eval`` and ``report`` score, and only the output is held
+        whole. A non-finite reading raises ``DataError`` naming the
         detector and the row's timestamp, unless its detector is bypassed;
         so does a non-finite prediction, before any value is returned.
         """
@@ -302,10 +322,13 @@ class VirtualSensor:
             raise DataError(f"non-finite reading {readings[row, col]} from detector "
                             f"{geom.detectors[col].code} at timestamp {timestamps[row]}")
 
-        inputs = np.where(mask, np.float32(0.0), readings)
-        masked = FrameTable(inputs, timestamps, table.cycles, table.column, table.bypassed)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is checked below
-            out = np.where(mask, self.predictor.predict(masked, geom), inputs)
+        out = np.empty_like(readings)
+        for lo in range(0, len(table), PREDICT_CHUNK):
+            rows = slice(lo, lo + PREDICT_CHUNK)
+            masked = table.take(rows)
+            masked.readings = inputs = np.where(mask[rows], np.float32(0.0), readings[rows])
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite results: below
+                out[rows] = np.where(mask[rows], self.predictor.predict(masked, geom), inputs)
         bad = np.argwhere(~np.isfinite(out))  # measured entries are finite: checked above
         if bad.size:
             row, col = bad[0]
@@ -369,17 +392,19 @@ def drift_report(predictor, table: FrameTable, geom: CoreGeometry,
         raise DataError("frames must be chronologically ordered")
 
     covered = np.asarray(predictor.covered(geom), dtype=np.intp)
-    measured = table.readings.astype(np.float64)
-    predicted = predictor.predict(table, geom).astype(np.float64)
-    residual = measured[:, covered] - predicted[:, covered]
+    predicted = predictor.predict(table, geom)[:, covered]
+    # float64 differences of the float32 values, without float64 copies of either
+    residual = np.subtract(table.readings[:, covered], predicted, dtype=np.float64)
 
     t = stamps - stamps[0]
     t_centered = t - t.mean()
     denom = float(np.sum(t_centered ** 2))
     if denom == 0.0:
         raise DataError("frames share one timestamp; no trend is defined")
-    slope = (t_centered @ (residual - residual.mean(axis=0))) / denom
-    intercept = residual.mean(axis=0) - slope * t.mean()
+    mean = residual.mean(axis=0)
+    residual -= mean  # centred in place
+    slope = (t_centered @ residual) / denom
+    intercept = mean - slope * t.mean()
     offset_now = intercept + slope * t[-1]
 
     report = DriftReport(threshold=float(threshold))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .coredata import CoreGeometry, DataError, FrameTable, derive_rod_variable
+from .coredata import CoreGeometry, DataError, FrameTable, block_rows, derive_rod_variable
 
 # Axial power node sampled by each detector level (levels sit 6 nodes apart,
 # the lowest near the bottom of the active fuel).
@@ -239,39 +239,62 @@ def generate_plant(scenarios, geom: CoreGeometry) -> FrameTable:
     """The frames of several cycles, in the given order, generated straight
     into the rows of one frame table."""
     scenarios = list(scenarios)
-    n = sum(s.frame_count for s in scenarios)
+    return next(plant_blocks(scenarios, geom, sum(s.frame_count for s in scenarios)))
+
+
+def plant_blocks(scenarios, geom: CoreGeometry, rows: int | None = None):
+    """The frames of several cycles, in the given order, as consecutive frame
+    tables of ``rows`` rows, by default ``coredata.block_rows`` of their core
+    state (the last may be shorter; a block may span cycles). Each cycle's
+    frames come from one ``_CycleModel``, a frame range at a time, into the
+    buffers of the block before: a block is valid until the next is asked for."""
+    scenarios = list(scenarios)
     h, w = geom.h, geom.w
-    core = {"np": np.empty((n, h, w, geom.d), dtype=np.float32),
-            "rv": np.empty((n, h, w, geom.dprime), dtype=np.float32),
-            "rp": np.empty((n, h, w), dtype=np.float32),
-            "nbd": np.empty((n, h, w, geom.dprime), dtype=np.float32),
-            "scalars": np.empty((n, 3), dtype=np.float32)}
-    readings = np.empty((n, geom.detector_count), dtype=np.float32)
-    timestamps, cycles = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    start = 0
+    shapes = {"np": (h, w, geom.d), "rv": (h, w, geom.dprime), "rp": (h, w),
+              "nbd": (h, w, geom.dprime), "scalars": (3,)}
+    n = sum(s.frame_count for s in scenarios)
+    step = max(min(rows or block_rows(shapes.values()), n), 1)
+    core = {name: np.empty((step,) + shape, dtype=np.float32) for name, shape in shapes.items()}
+    readings = np.empty((step, geom.detector_count), dtype=np.float32)
+    timestamps = np.array([s.cycle_id * 1_000_000 + t for s in scenarios
+                           for t in range(s.frame_count)], dtype=np.int64)
+    cycles = np.repeat(np.array([s.cycle_id for s in scenarios], dtype=np.int64),
+                       [s.frame_count for s in scenarios])
+
+    def block(lo: int, rows: int) -> FrameTable:
+        return FrameTable(readings[:rows], timestamps[lo:lo + rows], cycles[lo:lo + rows],
+                          {name: col[:rows] for name, col in core.items()})
+
+    lo = filled = 0  # the plant row of buffer row 0, and the buffer rows filled
     for scenario in scenarios:
-        rows = slice(start, start + scenario.frame_count)
-        _fill_cycle(scenario, geom, {name: col[rows] for name, col in core.items()},
-                    readings[rows])
-        timestamps[rows] = scenario.cycle_id * 1_000_000 + np.arange(scenario.frame_count)
-        cycles[rows] = scenario.cycle_id
-        start = rows.stop
-    return FrameTable(readings, timestamps, cycles, core)
+        model = _CycleModel(scenario, geom)
+        t = 0
+        while t < scenario.frame_count:
+            frames = range(t, min(t + step - filled, scenario.frame_count))
+            rows = slice(filled, filled + len(frames))
+            _fill_cycle(model, frames, {name: col[rows] for name, col in core.items()},
+                        readings[rows])
+            t, filled = frames.stop, rows.stop
+            if filled == step:
+                yield block(lo, filled)
+                lo, filled = lo + filled, 0
+    if filled or not n:
+        yield block(lo, filled)
 
 
-def _fill_cycle(scenario: PlantScenario, geom: CoreGeometry, core: dict,
-                readings: np.ndarray) -> None:
-    """Write one cycle's frames into the rows ``core`` and ``readings`` hold."""
-    model = _CycleModel(scenario, geom)
+def _fill_cycle(model: _CycleModel, frames: range, core: dict, readings: np.ndarray) -> None:
+    """Write frames ``frames`` of ``model``'s cycle into the rows ``core`` and
+    ``readings`` hold, in order."""
+    scenario, geom = model.scenario, model.geom
     denom = max(scenario.frame_count - 1, 1)
-    for t in range(scenario.frame_count):
+    for i, t in enumerate(frames):
         u = t / denom
         rng_t = np.random.default_rng([scenario.seed, scenario.cycle_id, t])
 
-        rp = core["rp"][t] = model.rod_pattern(u)
-        nbd = core["nbd"][t] = model.blade_depletion(u)
-        rv = core["rv"][t] = derive_rod_variable(rp, nbd)
-        core["np"][t] = model.nodal_power(u, rv, rng_frame=np.random.default_rng(
+        rp = core["rp"][i] = model.rod_pattern(u)
+        nbd = core["nbd"][i] = model.blade_depletion(u)
+        rv = core["rv"][i] = derive_rod_variable(rp, nbd)
+        core["np"][i] = model.nodal_power(u, rv, rng_frame=np.random.default_rng(
             [scenario.seed, scenario.cycle_id, t, 3]))
 
         tp = 0.965 + 0.025 * np.sin(2 * np.pi * model.power_trend["freq"] * u
@@ -287,10 +310,9 @@ def _fill_cycle(scenario: PlantScenario, geom: CoreGeometry, core: dict,
         flow = 0.97 + 0.04 * np.sin(2 * np.pi * model.flow_trend["freq"] * u
                                     + model.flow_trend["phase"])
         flow += 0.005 * rng_t.standard_normal()
-        core["scalars"][t] = (tp, subcool, flow)
+        core["scalars"][i] = (tp, subcool, flow)
 
     readings[:] = oracle_readings(core["np"], core["rv"], core["scalars"][:, 0], geom)
-    frames = range(scenario.frame_count)
     # Python's ``**``: numpy's ``power`` may round differently
     drift = np.float32([(1.0 - scenario.drift_rate) ** t for t in frames])
     readings[:, model.drift_mask] *= drift[:, None]

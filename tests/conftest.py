@@ -51,9 +51,9 @@ def blob_reads(monkeypatch):
     names = []
     real = coredata.read_blob
 
-    def record(path):
+    def record(path, *args, **kwargs):
         names.append(Path(path).name)
-        return real(path)
+        return real(path, *args, **kwargs)
 
     monkeypatch.setattr(coredata, "read_blob", record)
     return names

@@ -2,15 +2,18 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from virtlprm import cli, coredata
 from virtlprm.cli import READING_FORMAT, main
 from virtlprm.coredata import DetectorId, default_geometry, load_archive, save_archive
 from virtlprm.evaluation import LprmNetPredictor, SetSurrogatePredictor, VirtualSensor
 from virtlprm.models import LprmNet, LprmNetSpec, load_checkpoint, save_checkpoint
+from virtlprm.synthplant import PlantScenario, generate_plant
 
 ARCHIVE_FILES = ("manifest.json", "np.bin", "rv.bin", "rp.bin", "nbd.bin",
                  "scalars.bin", "readings.bin")
@@ -187,7 +190,7 @@ def test_config_value_of_wrong_type_is_config_error(small_archive, tmp_path, mon
 def fail_on_generation(monkeypatch):
     def refuse(scenarios, geom):
         pytest.fail("frames were generated")
-    monkeypatch.setattr("virtlprm.cli.generate_plant", refuse)
+    monkeypatch.setattr("virtlprm.cli.plant_blocks", refuse)
 
 
 def test_repeated_cycle_id_is_config_error(tmp_path, monkeypatch, capsys):
@@ -200,6 +203,20 @@ def test_repeated_cycle_id_is_config_error(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error") and "cycle_id" in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cycles_out_of_config_order_are_config_error(tmp_path, monkeypatch, capsys):
+    # timestamps follow cycle ids, so cycles 3, 1, 2 would be stamped out of order
+    fail_on_generation(monkeypatch)
+    cfg = write_gen_config(tmp_path / "g.json", [
+        {"cycle_id": 3, "frame_count": 4, "seed": 1},
+        {"cycle_id": 1, "frame_count": 4, "seed": 1},
+        {"cycle_id": 2, "frame_count": 4, "seed": 1}])
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error") and "increase" in captured.err
     assert not (tmp_path / "run").exists()
 
 
@@ -885,6 +902,111 @@ class TestInferReadsOnlyReadings:
             captured = capsys.readouterr()
             assert captured.out == "", command
             assert message in captured.err, command
+
+
+def core_row_bytes(geom):
+    """Bytes of one frame's core state (np, rv, rp, nbd, scalars) on ``geom``."""
+    return 4 * (geom.h * geom.w * (geom.d + 2 * geom.dprime + 1) + 3)
+
+
+class TestCoreStateBlocks:
+    """Every command holds core state one block of at most
+    ``coredata.CORE_BLOCK_BYTES`` at a time: here 4 frames."""
+
+    CYCLES = [{"cycle_id": 1, "frame_count": 8, "seed": 6, "noise_sigma": 0.01,
+               "drift_rate": 0.01, "symmetry_fidelity": 0.6, "drift_detectors": ["2A", "9C"]},
+              {"cycle_id": 2, "frame_count": 6, "seed": 6, "noise_sigma": 0.02,
+               "drift_rate": 0.005}]
+
+    @pytest.fixture(autouse=True)
+    def four_frame_blocks(self, monkeypatch):
+        monkeypatch.setattr(coredata, "CORE_BLOCK_BYTES", 4 * core_row_bytes(default_geometry()))
+
+    def test_streamed_gen_matches_in_memory_generation(self, tmp_path, monkeypatch):
+        scenarios = [  # the cycles of CYCLES
+            PlantScenario(1, 8, 6, symmetry_fidelity=0.6, noise_sigma=0.01, drift_rate=0.01,
+                          drift_detectors=frozenset({DetectorId(2, "A"), DetectorId(9, "C")})),
+            PlantScenario(2, 6, 6, noise_sigma=0.02, drift_rate=0.005)]
+        frames = generate_plant(scenarios, default_geometry())  # one table of all 14 frames
+        save_archive(frames, tmp_path / "memory")
+        blocks = []
+        streamed = cli.plant_blocks
+
+        def record(scenarios, geom):
+            for block in streamed(scenarios, geom):
+                blocks.append(block.timestamps.tolist())
+                yield block
+        monkeypatch.setattr(cli, "plant_blocks", record)
+        cfg = write_gen_config(tmp_path / "g.json", self.CYCLES)
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "streamed")]) == 0
+        # block boundaries inside cycle 1, on the cycle boundary and inside cycle 2
+        stamps = frames.timestamps.tolist()
+        assert blocks == [stamps[0:4], stamps[4:8], stamps[8:12], stamps[12:14]]
+        assert stamps[7] // 1_000_000 == 1 and stamps[8] // 1_000_000 == 2
+        for name in ARCHIVE_FILES:
+            assert (tmp_path / "memory" / name).read_bytes() == \
+                   (tmp_path / "streamed" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", ["gen", "eval", "report"])
+    def test_memory_flat_in_frame_count(self, tmp_path, capsys, command):
+        """The traced peaks at N and 4N frames differ by less than 2 KB a
+        frame: the per-frame columns, not the core state (266 KB a frame)."""
+        n = 60
+        peaks = []
+        for frames in (n, 4 * n):
+            archive = tmp_path / f"a{frames}"
+            cfg = write_gen_config(tmp_path / f"g{frames}.json", [
+                {"cycle_id": 1, "frame_count": frames, "seed": 2, "noise_sigma": 0.01,
+                 "drift_rate": 0.001}])
+            argvs = {
+                "gen": ["gen", "--config", str(cfg), "--out", str(archive)],
+                "eval": ["eval", "--checkpoint", "oracle", "--archive", str(archive),
+                         "--out", str(tmp_path / f"e{frames}"), "--split", "none",
+                         "--reference-oracle"],
+                "report": ["report", "--checkpoint", "oracle", "--archive", str(archive),
+                           "--out", str(tmp_path / f"r{frames}")],
+            }
+            if command != "gen":
+                assert main(argvs["gen"]) == 0
+            tracemalloc.start()
+            try:
+                assert main(argvs[command]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+        assert (peaks[1] - peaks[0]) / (3 * n) < 2048
+
+    def test_fault_in_a_late_block_is_found(self, trained_run, small_archive, tmp_path, capsys,
+                                            blob_reads):
+        bad = tmp_path / "bad"
+        shutil.copytree(small_archive, bad)
+        frames = load_archive(small_archive)
+        geom = default_geometry()
+        last = len(frames) - 1  # nbd is checked 12 frames a block; this is block 6
+        poison_blob(bad, "nbd", offset=(last * geom.h * geom.w + 5) * geom.dprime)
+        argvs = {
+            "train": ["train", "--config",
+                      str(train_config(tmp_path / "exp.json", bad, "surrogate-ab"))],
+            "eval": ["eval", "--checkpoint", str(trained_run["out_dir"] / "checkpoint"),
+                     "--archive", str(bad), "--out", str(tmp_path / "rep")],
+            "report": ["report", "--checkpoint", "oracle", "--archive", str(bad),
+                       "--out", str(tmp_path / "drift")],
+        }
+        for command, argv in argvs.items():
+            blob_reads.clear()
+            assert main(argv) == 3, command
+            captured = capsys.readouterr()
+            assert captured.out == "", command
+            assert (f"non-finite values (field 'nbd', first in the frame at timestamp "
+                    f"{frames.timestamps[last]})") in captured.err, command
+            assert blob_reads.count("nbd.bin") == 6, command  # one read_blob a block
+
+        blob_reads.clear()
+        assert main(["infer", "--checkpoint", str(trained_run["out_dir"] / "checkpoint"),
+                     "--archive", str(bad), "--bypass", "6A,12B"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(frames)
+        assert blob_reads == ["readings.bin"]
 
 
 class TestReport:

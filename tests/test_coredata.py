@@ -407,7 +407,7 @@ class TestArchive:
         with pytest.raises(DataError):
             save_archive(make_frames(cycles=()), tmp_path / "a")
 
-    def test_core_state_read_once_on_first_use(self, tmp_path, blob_reads, geom):
+    def test_core_state_read_once_on_first_use(self, tmp_path, blob_reads, geom, monkeypatch):
         frames = make_frames(cycles=(1, 2, 1), timestamps=[0, 10, 20])
         mark_bypassed(frames, 1, DetectorId(3, "B"), geom)
         save_archive(frames, tmp_path / "a")
@@ -425,13 +425,23 @@ class TestArchive:
         assert selected.timestamps.tolist() == [20, 0]
         assert blob_reads == ["readings.bin"]
 
-        first = {name: archive.column(name) for name in cd.CORE_STATE_FIELDS}
-        assert sorted(blob_reads) == sorted(f"{name}.bin" for name in cd.ARCHIVE_FIELDS)
-        blob_reads.clear()
-        assert all(archive.column(name) is col for name, col in first.items())
-        np.testing.assert_array_equal(selected.column("rv"), first["rv"][[2, 0]])
-        assert selected.thermal_power.tolist() == archive.thermal_power[[2, 0]].tolist()
-        assert blob_reads == []
+        # one-frame blocks: the check and every selection read at most one frame a call
+        monkeypatch.setattr(cd, "CORE_BLOCK_BYTES", 1)
+        frame_reads = []
+        recorded = cd.read_blob
+        frame_size = {f"{name}.bin": frames.column(name)[0].size for name in cd.ARCHIVE_FIELDS}
+
+        def count_frames(path, *args, **kwargs):
+            raw = recorded(path, *args, **kwargs)
+            frame_reads.append(raw.size / frame_size[path.name])
+            return raw
+        monkeypatch.setattr(cd, "read_blob", count_frames)
+        np.testing.assert_array_equal(selected.column("rv"), frames.column("rv")[[2, 0]])
+        assert sorted(set(blob_reads)) == sorted(f"{name}.bin" for name in cd.ARCHIVE_FIELDS)
+        assert frame_reads and max(frame_reads) == 1
+        assert selected.thermal_power.tolist() == frames.thermal_power[[2, 0]].tolist()
+        for name in cd.CORE_STATE_FIELDS:  # bit-exact
+            np.testing.assert_array_equal(archive.column(name), frames.column(name))
 
     @pytest.mark.parametrize("name", ["np", "rv", "rp", "nbd", "scalars"])
     def test_rejects_short_core_state_blob_at_open(self, tmp_path, blob_reads, name):

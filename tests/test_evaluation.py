@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from virtlprm.coredata import DataError, DetectorId, FrameTable
+from virtlprm.coredata import CORE_STATE_FIELDS, DataError, DetectorId, FrameTable
 from virtlprm.evaluation import (
     AxisDetectorPredictor,
     CompositePredictor,
@@ -329,8 +329,9 @@ class TestReadingsPredictorColumns:
         # infer serves predict, run on the table with the served columns zeroed
         zeroed = readings.copy()
         zeroed[:, outputs] = 0.0
-        table = FrameTable(zeroed, clean_frames.timestamps, clean_frames.cycles,
-                           clean_frames.column, clean_frames.bypassed)
+        core = {name: clean_frames.column(name) for name in CORE_STATE_FIELDS}
+        table = FrameTable(zeroed, clean_frames.timestamps, clean_frames.cycles, core,
+                           clean_frames.bypassed)
         want = predictor.predict(table, geom)[:, outputs]
         served, mask = VirtualSensor(geom, [predictor]).infer(
             clean_frames, [geom.detectors[i] for i in outputs])
