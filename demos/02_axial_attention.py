@@ -12,7 +12,6 @@ from virtlprm.attention import (
     AxialAttentionParams,
     affinity,
     aggregate,
-    attention_map,
     axial_attention,
     pair_count,
 )
@@ -30,7 +29,7 @@ q = ad.conv2d(feature_map, height.wq, Tensor(np.zeros(2, dtype=np.float32)), "sa
 k = ad.conv2d(feature_map, height.wk, Tensor(np.zeros(2, dtype=np.float32)), "same")
 v = ad.conv2d(feature_map, height.wv, Tensor(np.zeros(channels, dtype=np.float32)), "same")
 scores = affinity(q, k, "height")
-weights = attention_map(scores)
+weights = ad.softmax(scores, axis=-1)  # over the column span
 print("attention weights shape:", weights.shape, "(positions x column span)")
 print("weight slices sum to:", np.round(weights.data.sum(axis=-1).ravel()[:5], 6), "...")
 contextual = aggregate(weights, v, feature_map, "height")

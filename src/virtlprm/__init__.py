@@ -30,7 +30,6 @@ from .attention import (
     AxialAttentionParams,
     affinity,
     aggregate,
-    attention_map,
     axial_attention,
     axial_pass,
     pair_count,

@@ -125,11 +125,6 @@ def affinity(q: Tensor, k: Tensor, axis: str) -> Tensor:
     return Tensor._result(data, (q, k), rule)
 
 
-def attention_map(a: Tensor) -> Tensor:
-    """Normalize affinities into weights: softmax over the span dimension."""
-    return softmax(a, axis=-1)
-
-
 def aggregate(m: Tensor, v: Tensor, l: Tensor, axis: str) -> Tensor:
     """Weighted sum of axis-aligned value fibers plus the residual input.
 
@@ -172,7 +167,7 @@ def axial_pass(l: Tensor, params: AxialAttentionParams, axis: str) -> Tensor:
     q = _project(l, params.wq)
     k = _project(l, params.wk)
     v = _project(l, params.wv)
-    weights = attention_map(affinity(q, k, axis))
+    weights = softmax(affinity(q, k, axis), axis=-1)  # over the span
     return aggregate(weights, v, l, axis)
 
 

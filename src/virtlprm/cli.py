@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .coredata import (
+    SCALAR_FIELDS,
     DataError,
     DetectorId,
     default_geometry,
@@ -51,7 +52,6 @@ from .models import (
 )
 from .synthplant import PlantScenario, plant_blocks
 from .training import (
-    PREDICT_CHUNK,
     DataSplit,
     DivergenceError,
     TrainConfig,
@@ -219,7 +219,11 @@ _ROLES = {
         AxisDetectorPredictor, train_defaults={"max_lr": 0.005, "bypass_p": 0.2},
         center_output=False),
     "lprmnet:": _Role(
-        LprmNet, _detector, lambda geom, **cfg: LprmNetSpec(**cfg), LprmNetPredictor,
+        LprmNet, _detector,
+        lambda geom, **cfg: LprmNetSpec(grid=(geom.h, geom.w), power_channels=geom.d,
+                                        rod_channels=geom.dprime,
+                                        scalar_count=len(SCALAR_FIELDS), **cfg),
+        LprmNetPredictor,
         train_defaults={"max_lr": 0.08, "bypass_p": 0.0},
         center_output=True),
 }
@@ -266,7 +270,11 @@ def _train_config_from(config: dict, role: _Role, seed: int) -> TrainConfig:
     try:
         if "seed" in block:
             raise ValueError("'seed' belongs at the top level of the experiment config")
-        return TrainConfig(**{**role.train_defaults, **block}, seed=seed)
+        cfg = TrainConfig(**{**role.train_defaults, **block}, seed=seed)
+        if cfg.bypass_p and role.network is not SurrogateNet:  # the only readings-fed model
+            raise ValueError(f"bypass_p is {cfg.bypass_p}, but this model reads no "
+                             f"readings to zero")
+        return cfg
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad train config: {err}") from None
 
@@ -395,14 +403,11 @@ def cmd_infer(args) -> int:
     line = ('{"readings": [' + ", ".join([READING_FORMAT] * readings.shape[1])
             + '], "timestamp": %d, "virtual": %s}\n')
     codes = {}  # one encoded code list per distinct mask row
-    for lo in range(0, len(readings), PREDICT_CHUNK):  # Python floats for one chunk at a time
-        rows = slice(lo, lo + PREDICT_CHUNK)
-        for stamp, row, marked in zip(archive.timestamps[rows].tolist(),
-                                      readings[rows].tolist(), mask[rows]):
-            key = marked.tobytes()
-            if key not in codes:
-                codes[key] = json.dumps(list(sensor.virtual_codes(marked)))
-            sys.stdout.write(line % (*row, stamp, codes[key]))
+    for stamp, row, marked in zip(archive.timestamps.tolist(), readings, mask):
+        key = marked.tobytes()
+        if key not in codes:
+            codes[key] = json.dumps(list(sensor.virtual_codes(marked)))
+        sys.stdout.write(line % (*row.tolist(), stamp, codes[key]))
     return EXIT_OK
 
 

@@ -349,22 +349,14 @@ class FrameTable:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def column(self, name: str) -> np.ndarray:
-        """The column of archive field ``name``, one row per frame."""
+    def column(self, name: str, channel_first: bool = False) -> np.ndarray:
+        """The column of archive field ``name``, one row per frame. A
+        core-state column is read once per run of consecutive rows;
+        ``channel_first`` moves its last axis first, so (N, H, W, D) maps
+        come back as C-contiguous (N, D, H, W) ones. A single run kept as
+        read is returned as it is; anything else is one copy."""
         if name == "readings":
             return self.readings
-        return self._gather(name)
-
-    def _channel_first(self, name: str) -> np.ndarray:
-        """Column ``name`` of (N, H, W, D) maps as C-contiguous (N, D, H, W)
-        maps, in one copy."""
-        return self._gather(name, channel_first=True)
-
-    def _gather(self, name: str, channel_first: bool = False) -> np.ndarray:
-        """The table's rows of core-state field ``name``: one read of each
-        run of consecutive rows, put in place with its last axis moved first
-        if ``channel_first``. A single run kept as read is returned as it is;
-        anything else is one copy."""
         rows = np.arange(len(self)) if self._rows is None else self._rows
         runs = np.split(rows, np.flatnonzero(np.diff(rows) != 1) + 1) if len(rows) else []
         if not channel_first and len(runs) == 1:

@@ -13,7 +13,7 @@ import numpy as np
 from .coredata import LEVELS, CoreGeometry, DataError, DetectorId, FrameTable, write_json
 from .models import LprmNet, SurrogateNet, corestate_batch
 from .synthplant import oracle_readings
-from .training import PREDICT_CHUNK, batched_predict
+from .training import PREDICT_CHUNK
 
 
 class CoverageError(DataError):
@@ -24,15 +24,14 @@ class CoverageError(DataError):
 # predictors: anything that can fill (part of) a 172-wide reading vector
 
 
-def _by_block(table: FrameTable, geom: CoreGeometry, predict, rows=None) -> np.ndarray:
-    """The (N, 172) rows ``predict(block)`` gives for each of
-    ``table.blocks(rows)``, so one block's core state is held at a time."""
-    out = np.empty((len(table), geom.detector_count), dtype=np.float32)
+def _row_blocks(table: FrameTable, rows: int | None = None):
+    """Each block of ``table.blocks(rows)`` with the slice of the table's
+    rows it holds: the one walk of every prediction, so one block's core
+    state is held at a time."""
     lo = 0
     for block in table.blocks(rows):
-        out[lo:lo + len(block)] = predict(block)
+        yield slice(lo, lo + len(block)), block
         lo += len(block)
-    return out
 
 
 class OraclePredictor:
@@ -42,8 +41,11 @@ class OraclePredictor:
         return np.arange(geom.detector_count, dtype=np.intp)
 
     def predict(self, table: FrameTable, geom: CoreGeometry) -> np.ndarray:
-        return _by_block(table, geom, lambda block: oracle_readings(
-            block.column("np"), block.column("rv"), block.thermal_power, geom))
+        out = np.empty((len(table), geom.detector_count), dtype=np.float32)
+        for rows, block in _row_blocks(table):
+            out[rows] = oracle_readings(block.column("np"), block.column("rv"),
+                                        block.thermal_power, geom)
+        return out
 
 
 class _ModelPredictor:
@@ -58,9 +60,15 @@ class _ModelPredictor:
         return self.model_inputs(table, geom), table.readings[:, self.covered(geom)]
 
     def predict(self, table: FrameTable, geom: CoreGeometry) -> np.ndarray:
-        """(N, 172) predictions of the model, NaN outside its columns."""
+        """(N, 172) predictions of the model, NaN outside its columns: one
+        eval-mode batch per ``PREDICT_CHUNK`` rows, the batches of
+        ``batched_predict``. BLAS rounds a row by the batch it sits in, so
+        this is the one place a model's rows are cut."""
         out = np.full((len(table), geom.detector_count), np.nan, dtype=np.float32)
-        out[:, self.covered(geom)] = batched_predict(self.model, self.model_inputs(table, geom))
+        covered = self.covered(geom)
+        for rows, block in _row_blocks(table, PREDICT_CHUNK):
+            out[rows, covered] = self.model.forward_batch(self.model_inputs(block, geom),
+                                                          mode="eval").data
         return out
 
 
@@ -116,13 +124,6 @@ class LprmNetPredictor(_ModelPredictor):
 
     def model_inputs(self, table: FrameTable, geom: CoreGeometry) -> dict:
         return corestate_batch(table)
-
-    def predict(self, table: FrameTable, geom: CoreGeometry) -> np.ndarray:
-        """Predictions one ``PREDICT_CHUNK`` of rows at a time: each block is
-        one batch of ``batched_predict``, so the float32 results, which BLAS
-        rounds by batch size, are those of a whole-table prediction."""
-        return _by_block(table, geom, lambda block: _ModelPredictor.predict(self, block, geom),
-                         PREDICT_CHUNK)
 
 
 class CompositePredictor:
@@ -298,8 +299,8 @@ class VirtualSensor:
         read only by a part whose model reads one (``LprmNetPredictor``).
 
         The composite predictor runs on the table with its masked entries
-        zeroed, one ``PREDICT_CHUNK`` of rows at a time: one batch of each
-        model, the batches of a whole-table ``predict``, so the results are
+        zeroed, one ``PREDICT_CHUNK`` of rows at a time: the batches each
+        model's ``predict`` cuts from a whole table, so the results are
         those ``eval`` and ``report`` score, and only the output is held
         whole. A non-finite reading raises ``DataError`` naming the
         detector and the row's timestamp, unless its detector is bypassed;
@@ -323,12 +324,10 @@ class VirtualSensor:
                             f"{geom.detectors[col].code} at timestamp {timestamps[row]}")
 
         out = np.empty_like(readings)
-        for lo in range(0, len(table), PREDICT_CHUNK):
-            rows = slice(lo, lo + PREDICT_CHUNK)
-            masked = table.take(rows)
-            masked.readings = inputs = np.where(mask[rows], np.float32(0.0), readings[rows])
+        for rows, block in _row_blocks(table, PREDICT_CHUNK):
+            block.readings = inputs = np.where(mask[rows], np.float32(0.0), block.readings)
             with np.errstate(over="ignore", invalid="ignore"):  # non-finite results: below
-                out[rows] = np.where(mask[rows], self.predictor.predict(masked, geom), inputs)
+                out[rows] = np.where(mask[rows], self.predictor.predict(block, geom), inputs)
         bad = np.argwhere(~np.isfinite(out))  # measured entries are finite: checked above
         if bad.size:
             row, col = bad[0]

@@ -19,7 +19,7 @@ spec dataclasses; they are pinned for reproducibility, not tuned.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +223,12 @@ class LprmNetSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(int(g) for g in self.grid))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "qk_channels" and value is None:
+                continue
+            if any(v < 1 for v in (value if f.name == "grid" else (value,))):
+                raise DataError(f"LprmNet size {f.name} must be at least 1, got {value!r}")
         if self.kernel_size % 2 == 0:
             raise DataError("conv kernels must be odd for same-padding")
 
@@ -320,8 +326,8 @@ class LprmNet(_NetworkBase):
 def corestate_batch(table) -> dict[str, np.ndarray]:
     """Channel-first core-state arrays of a frame table: depth becomes the channel axis."""
     return {
-        "np": table._channel_first("np"),
-        "rv": table._channel_first("rv"),
+        "np": table.column("np", channel_first=True),
+        "rv": table.column("rv", channel_first=True),
         "scalars": table.column("scalars"),
     }
 

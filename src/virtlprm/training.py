@@ -208,7 +208,8 @@ def _take(inputs: dict, idx) -> dict:
     return {k: v[idx] for k, v in inputs.items()}
 
 
-# Rows per eval-mode forward in ``batched_predict``: bounds its activations.
+# Rows per eval-mode forward in ``batched_predict`` and every model predictor:
+# bounds activations, and fixes the batches BLAS rounds each prediction in.
 PREDICT_CHUNK = 256
 
 

@@ -6,12 +6,11 @@ from virtlprm.attention import (
     AxialAttentionParams,
     affinity,
     aggregate,
-    attention_map,
     axial_attention,
     axial_pass,
     pair_count,
 )
-from virtlprm.autodiff import ShapeError, Tensor, grad_check
+from virtlprm.autodiff import ShapeError, Tensor, grad_check, softmax
 
 
 def brute_force_affinity(q, k, axis, counter=None):
@@ -107,20 +106,22 @@ class TestAffinity:
 
 
 class TestAttentionMap:
+    """The attention weights: a softmax over the span axis."""
+
     def test_uniform_affinities(self):
         a = Tensor(np.zeros((2, 3, 5), dtype=np.float32))
-        np.testing.assert_allclose(attention_map(a).data, np.full((2, 3, 5), 0.2))
+        np.testing.assert_allclose(softmax(a, axis=-1).data, np.full((2, 3, 5), 0.2))
 
     def test_dominant_affinity(self):
         a = np.zeros((1, 1, 4), dtype=np.float32)
         a[0, 0, 2] = 1000.0
-        out = attention_map(Tensor(a)).data
+        out = softmax(Tensor(a), axis=-1).data
         assert out[0, 0, 2] > 1.0 - 1e-6
 
     def test_random_slices_sum_to_one(self):
         rng = np.random.default_rng(3)
         a = Tensor(rng.standard_normal((6, 7, 6)).astype(np.float32))
-        np.testing.assert_allclose(attention_map(a).data.sum(axis=-1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(softmax(a, axis=-1).data.sum(axis=-1), 1.0, atol=1e-6)
 
 
 class TestAggregate:

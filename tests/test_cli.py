@@ -405,14 +405,22 @@ class TestTrain:
         ("lprmnet:1A", {"conv_chanels": 4}),
         ("surrogate-ab", {"hiden": 8}),
         ("cset:7A", {"hidden": 8, "depth": 3}),
-    ], ids=["lprmnet:1A", "surrogate-ab", "cset:7A"])
+        # an lprmnet: model's input shape comes from the geometry
+        ("lprmnet:1A", {"grid": [30, 30]}),
+        ("lprmnet:1A", {"power_channels": 25}),
+        ("lprmnet:1A", {"rod_channels": 24}),
+        ("lprmnet:1A", {"scalar_count": 3}),
+    ], ids=["lprmnet:1A", "surrogate-ab", "cset:7A", "lprmnet:1A-grid",
+            "lprmnet:1A-power_channels", "lprmnet:1A-rod_channels", "lprmnet:1A-scalar_count"])
     def test_unknown_model_config_key_is_config_error(self, small_archive, tmp_path,
                                                       monkeypatch, capsys, selector,
                                                       model_config):
         fail_on_archive_read(monkeypatch)
         cfg = train_config(tmp_path / "exp.json", small_archive, selector, model_config)
         assert main(["train", "--config", str(cfg)]) == 2
-        assert "model_config" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "model_config" in captured.err
         assert not (tmp_path / "run").exists()
 
     def test_divergence_exit_code(self, small_archive, tmp_path):
@@ -425,6 +433,65 @@ class TestTrain:
         }))
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["train", "--config", str(cfg_path)]) == 4
+
+
+class TestLprmNetConfig:
+    """An ``lprmnet:`` model checks its sizes and refuses a ``bypass_p`` it
+    would ignore, before the archive is read, and reads the depths of the
+    geometry it is trained on."""
+
+    def refused(self, tmp_path, monkeypatch, capsys, model_config, train=()):
+        fail_on_archive_read(monkeypatch)
+        cfg = train_config(tmp_path / "exp.json", tmp_path / "archive", "lprmnet:1A",
+                           {**SMALL_LPRMNET, **model_config})
+        config = json.loads(cfg.read_text())
+        config["train"].update(train)
+        cfg.write_text(json.dumps(config))
+        assert main(["train", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+        return captured.err
+
+    @pytest.mark.parametrize("model_config", [
+        {"trunk_hidden": 0}, {"qk_channels": 0}, {"conv_channels": -1}],
+        ids=["trunk_hidden", "qk_channels", "conv_channels"])
+    def test_bad_size_is_config_error(self, tmp_path, monkeypatch, capsys, model_config):
+        (key, value), = model_config.items()
+        err = self.refused(tmp_path, monkeypatch, capsys, model_config)
+        assert err == (f"config error: bad model_config for 'lprmnet:1A': LprmNet size "
+                       f"{key} must be at least 1, got {value}\n")
+
+    def test_bypass_p_is_config_error(self, tmp_path, monkeypatch, capsys):
+        err = self.refused(tmp_path, monkeypatch, capsys, {}, train={"bypass_p": 0.5})
+        assert "bad train config: bypass_p" in err
+
+    def test_train_eval_infer_on_another_depth(self, tmp_path, capsys):
+        """On a layout with D=22 and D'=20 the model reads (N, 22, H, W) nodal
+        power and (N, 20, H, W) rod variable maps."""
+        layout = default_geometry().to_layout()
+        layout["grid"].update(D=22, Dprime=20)
+        (tmp_path / "layout.json").write_text(json.dumps(layout))
+        geometry = str(tmp_path / "layout.json")
+        gen = {"geometry": geometry, "cycles": [{"cycle_id": 1, "frame_count": 12, "seed": 4}]}
+        (tmp_path / "gen.json").write_text(json.dumps(gen))
+        archive = tmp_path / "archive"
+        assert main(["gen", "--config", str(tmp_path / "gen.json"), "--out", str(archive)]) == 0
+        cfg = train_config(tmp_path / "exp.json", archive, "lprmnet:7C", SMALL_LPRMNET)
+        config = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps({**config, "geometry": geometry}))
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "checkpoint"
+        spec = json.loads((ckpt / "manifest.json").read_text())["spec"]
+        assert (spec["power_channels"], spec["rod_channels"]) == (22, 20)
+        assert main(["eval", "--checkpoint", str(ckpt), "--archive", str(archive),
+                     "--out", str(tmp_path / "rep"), "--geometry", geometry,
+                     "--split", "none"]) == 0
+        capsys.readouterr()
+        assert main(["infer", "--checkpoint", str(ckpt), "--archive", str(archive),
+                     "--geometry", geometry, "--bypass", "7C"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 12 and all('"virtual": ["7C"]' in line for line in lines)
 
 
 class TestEval:

@@ -1,9 +1,17 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from virtlprm.coredata import CORE_STATE_FIELDS, DataError, DetectorId, FrameTable
+from virtlprm.coredata import (
+    CORE_STATE_FIELDS,
+    DataError,
+    DetectorId,
+    FrameTable,
+    load_archive,
+    save_archive,
+)
 from virtlprm.evaluation import (
     AxisDetectorPredictor,
     CompositePredictor,
@@ -25,7 +33,7 @@ from virtlprm.models import (
     corestate_batch,
 )
 from virtlprm.synthplant import PlantScenario, generate_cycle
-from virtlprm.training import batched_predict
+from virtlprm.training import PREDICT_CHUNK, batched_predict
 
 SMALL_LPRMNET = LprmNetSpec(conv_channels=2, trunk_hidden=8, trunk_out=4,
                             scalar_hidden=4, scalar_out=4, regression_hidden=4)
@@ -343,3 +351,48 @@ class TestReadingsPredictorColumns:
         predictor = AxisDetectorPredictor(model, DetectorId(1, "A"))
         with pytest.raises(DataError, match="symmetry axis"):
             predictor.predict(clean_frames, session_geom)
+
+
+class TestPredictionChunks:
+    """On a table of more than two ``PREDICT_CHUNK``s of rows, the last one
+    partial, each model part predicts the batches ``batched_predict`` cuts
+    from its whole-table inputs, and ``VirtualSensor.infer`` serves what
+    ``CompositePredictor.predict`` gives on the table with its served
+    entries zeroed, bit for bit."""
+
+    def test_chunked_predictions_are_whole_table_batches(self, session_geom, tmp_path):
+        geom = session_geom
+        # a last chunk of 61 rows: cutting rows into other batches (61 or 4
+        # rows) moves some float32 results in the last bits, so a second cut shows
+        n, depth = 2 * PREDICT_CHUNK + 61, 2
+        rng = np.random.default_rng(21)
+        maps = {"np": depth, "rv": depth, "rp": None, "nbd": depth}
+        core = {name: rng.random((n, geom.h, geom.w) + ((d,) if d else ()), dtype=np.float32)
+                for name, d in maps.items()}
+        core["scalars"] = rng.random((n, 3), dtype=np.float32)
+        own = DetectorId(12, "D")
+        bypassed = [frozenset({own}) if row % 5 == 0 else frozenset() for row in range(n)]
+        readings = rng.random((n, geom.detector_count), dtype=np.float32) + 0.5
+        readings[::5, geom.detector_index(own)] = 0.0
+        save_archive(FrameTable(readings, np.arange(n), np.ones(n), core, bypassed),
+                     tmp_path / "archive")
+        table = load_archive(tmp_path / "archive")
+
+        spec = replace(SMALL_LPRMNET, power_channels=depth, rod_channels=depth)
+        parts = [LprmNetPredictor(LprmNet(spec, seed=4), DetectorId(1, "A")),
+                 SetSurrogatePredictor(SurrogateNet(SurrogateSpec(76, 76, (8,) * 6), seed=4), "A"),
+                 AxisDetectorPredictor(SurrogateNet(axis_surrogate_spec(hidden=8), seed=4),
+                                       geom.detectors_in_set("C")[0])]
+        for part in parts:
+            got = part.predict(table, geom)[:, part.covered(geom)]
+            want = batched_predict(part.model, part.model_inputs(table, geom))
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+        bypass = [DetectorId(1, "A"), DetectorId(12, "B"), geom.detectors_in_set("C")[0]]
+        served, mask = VirtualSensor(geom, parts).infer(table, bypass)
+        assert mask[::5, geom.detector_index(own)].all()
+        zeroed = FrameTable(np.where(mask, np.float32(0.0), table.readings), table.timestamps,
+                            table.cycles, core, table.bypassed)
+        want = CompositePredictor(parts).predict(zeroed, geom)
+        assert np.array_equal(served[mask].view(np.uint32), want[mask].view(np.uint32))
+        assert np.array_equal(served[~mask], table.readings[~mask])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -75,6 +76,16 @@ class TestSurrogateSpec:
         a = axis_surrogate_spec()
         assert (a.input_size, a.output_size) == (171, 1)
         assert a.hidden_sizes == (512,) * 6
+
+
+class TestLprmNetSpec:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(LprmNetSpec)])
+    def test_every_size_at_least_one(self, name):
+        with pytest.raises(DataError, match=f"{name} must be at least 1"):
+            LprmNetSpec(**{name: (30, 0) if name == "grid" else 0})
+
+    def test_qk_channels_may_be_none(self):
+        assert LprmNetSpec(qk_channels=None).attention_qk == 32
 
 
 class TestSurrogateNet:
