@@ -21,6 +21,7 @@ from .autodiff import (
     grad_check,
     matmul,
     mse_loss,
+    no_grad,
     reshape,
     softmax,
     transpose,
@@ -90,6 +91,7 @@ from .training import (
     batched_predict,
     history_to_csv,
     one_cycle_lr,
+    predict_batch,
     train,
 )
 

@@ -7,14 +7,22 @@ transpose, concatenate) to wire them together. GELU's normal CDF is
 exact (``scipy.special.erf``) on float64 tensors, which the 1e-6 gradient
 checks use; on float32 tensors, the dtype the networks train and serve
 in, it comes from a vectorised rational approximation of erf, within
-5e-7 of the exact value. Gradients accumulate
-additively across backward passes. Between optimization steps callers
-clear them by setting ``grad`` to ``None`` (``zero_grads`` on a network
-does): the next pass then assigns each gradient instead of adding it to a
-zero buffer.
+5e-7 of the exact value.
+
+The graph lives only while a gradient needs it. ``backward`` frees each
+operation once its rule has run, with the arrays the rule saved (im2col
+patches, normalized activations, attention weights), so only leaf
+tensors, those no operation made (parameters and inputs), keep ``grad``.
+Under ``no_grad``, as every prediction runs, operations record nothing.
+Leaf gradients accumulate additively across backward passes. Between
+optimization steps callers clear them by setting ``grad`` to ``None``
+(``zero_grads`` on a network does): the next pass then assigns each
+gradient instead of adding it to a zero buffer.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 from scipy.special import erf
@@ -48,6 +56,23 @@ _HALF_ERF_CLAMP = np.float32(5.0930037)
 # scratch slices (1 MB) stay in a 2 MB L2 across the ~25 in-place passes;
 # the result does not depend on the block size.
 GELU_BLOCK = 1 << 16
+
+
+# Whether operations record a node for ``backward``; ``no_grad`` clears it.
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: every result has ``requires_grad``
+    False and no node, so an operation's saved arrays die when it returns.
+    Nests, and restores recording when the block exits or raises."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class ShapeError(ValueError):
@@ -102,7 +127,7 @@ class Tensor:
         # array, without re-validating it.
         t = cls.__new__(cls)
         t.data = data
-        t.requires_grad = any(i.requires_grad for i in inputs)
+        t.requires_grad = _recording and any(i.requires_grad for i in inputs)
         t.grad = None
         t.node = _OpNode(tuple(inputs), rule) if t.requires_grad else None
         return t
@@ -178,14 +203,20 @@ class Graph:
 
 
 def backward(graph: Graph, loss: Tensor) -> None:
-    """Propagate gradients of a scalar loss back through a traced graph.
+    """Propagate gradients of a scalar loss back through a traced graph,
+    freeing the graph as it goes.
 
-    Gradients accumulate into ``grad`` on every tensor with
-    ``requires_grad`` that the loss depends on. A tensor whose ``grad`` is
-    ``None``, as a network's ``zero_grads`` leaves its parameters, is
-    assigned its first gradient; later ones are added out of place, never
-    into a buffer another tensor may share. Tensors not reachable from the
-    loss are left untouched, so a cleared one keeps ``None``.
+    Gradients accumulate into ``grad`` on every leaf tensor (one no
+    operation made, so without a node) with ``requires_grad`` that the loss
+    depends on. A leaf whose ``grad`` is ``None``, as a network's
+    ``zero_grads`` leaves its parameters, is assigned its first gradient;
+    later ones are added out of place, never into a buffer another tensor
+    may share. Tensors not reachable from the loss are left untouched, so a
+    cleared one keeps ``None``. Every other tensor of the graph, the loss
+    included, ends with ``node`` and ``grad`` set to ``None``: once its rule
+    has handed gradients to its inputs, the rule and the arrays it saved
+    are released, so the graph is spent and a second ``backward`` through
+    it reaches no leaf.
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -197,10 +228,13 @@ def backward(graph: Graph, loss: Tensor) -> None:
     loss.grad = seed if loss.grad is None else loss.grad + seed
 
     for t in reversed(graph.tensors):
-        if t.node is None or t.grad is None:
+        node, grad = t.node, t.grad
+        if node is None:  # a leaf keeps its gradient
             continue
-        grads_in = t.node.rule(t.grad)
-        for inp, g in zip(t.node.inputs, grads_in):
+        t.node = t.grad = None
+        if grad is None:
+            continue
+        for inp, g in zip(node.inputs, node.rule(grad)):
             if g is None or not inp.requires_grad:
                 continue
             inp.grad = g if inp.grad is None else inp.grad + g

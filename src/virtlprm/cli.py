@@ -196,6 +196,18 @@ def _input_set(pair: str, geom) -> str:
     return pair[0].upper()
 
 
+def _lprmnet_spec(geom, **cfg) -> LprmNetSpec:
+    """An LprmNet spec whose input shape is the geometry's; a ``model_config``
+    key that the geometry sets is a ``ValueError`` naming it."""
+    shape = {"grid": (geom.h, geom.w), "power_channels": geom.d,
+             "rod_channels": geom.dprime, "scalar_count": len(SCALAR_FIELDS)}
+    for key in shape:
+        if key in cfg:
+            raise ValueError(f"{key!r} is set by the archive's geometry "
+                             f"({shape[key]!r} here), not by model_config")
+    return LprmNetSpec(**shape, **cfg)
+
+
 @dataclass(frozen=True)
 class _Role:
     """What a selector's kind decides; its target is what follows the prefix."""
@@ -219,11 +231,7 @@ _ROLES = {
         AxisDetectorPredictor, train_defaults={"max_lr": 0.005, "bypass_p": 0.2},
         center_output=False),
     "lprmnet:": _Role(
-        LprmNet, _detector,
-        lambda geom, **cfg: LprmNetSpec(grid=(geom.h, geom.w), power_channels=geom.d,
-                                        rod_channels=geom.dprime,
-                                        scalar_count=len(SCALAR_FIELDS), **cfg),
-        LprmNetPredictor,
+        LprmNet, _detector, _lprmnet_spec, LprmNetPredictor,
         train_defaults={"max_lr": 0.08, "bypass_p": 0.0},
         center_output=True),
 }

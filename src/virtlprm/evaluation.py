@@ -13,7 +13,7 @@ import numpy as np
 from .coredata import LEVELS, CoreGeometry, DataError, DetectorId, FrameTable, write_json
 from .models import LprmNet, SurrogateNet, corestate_batch
 from .synthplant import oracle_readings
-from .training import PREDICT_CHUNK
+from .training import PREDICT_CHUNK, predict_batch
 
 
 class CoverageError(DataError):
@@ -67,8 +67,7 @@ class _ModelPredictor:
         out = np.full((len(table), geom.detector_count), np.nan, dtype=np.float32)
         covered = self.covered(geom)
         for rows, block in _row_blocks(table, PREDICT_CHUNK):
-            out[rows, covered] = self.model.forward_batch(self.model_inputs(block, geom),
-                                                          mode="eval").data
+            out[rows, covered] = predict_batch(self.model, self.model_inputs(block, geom))
         return out
 
 

@@ -213,13 +213,21 @@ def _take(inputs: dict, idx) -> dict:
 PREDICT_CHUNK = 256
 
 
+def predict_batch(model, inputs: dict) -> np.ndarray:
+    """One eval-mode forward of ``model`` as an array. Prediction takes no
+    gradient, so it records no graph: each op's saved arrays die as it
+    returns."""
+    with ad.no_grad():
+        return model.forward_batch(inputs, mode="eval").data
+
+
 def batched_predict(model, inputs: dict) -> np.ndarray:
     """Eval-mode predictions over a whole input set, in memory-bounded chunks."""
     n = len(next(iter(inputs.values())))
     parts = []
     for lo in range(0, n, PREDICT_CHUNK):
-        batch = {k: v[lo:lo + PREDICT_CHUNK] for k, v in inputs.items()}
-        parts.append(model.forward_batch(batch, mode="eval").data)
+        parts.append(predict_batch(model, {k: v[lo:lo + PREDICT_CHUNK]
+                                           for k, v in inputs.items()}))
     return np.concatenate(parts, axis=0)
 
 

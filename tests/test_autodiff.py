@@ -514,6 +514,73 @@ class TestBackward:
         assert len(with_nodes) == len({id(t) for t in with_nodes})
 
 
+class TestGraphLifetime:
+    """``backward`` frees every operation it passes, and ``no_grad``
+    records none."""
+
+    @staticmethod
+    def chain(x, w, gamma, beta):
+        h = ad.matmul(x, w)
+        n = ad.batch_norm(h, gamma, beta, RunningStats(5, np.float64), "train")
+        s = ad.softmax(ad.gelu(n))
+        return ad.tsum(ad.mul(s, s))
+
+    def leaves(self):
+        rng = np.random.default_rng(52)
+        return [t64(rng.standard_normal((4, 3)), requires_grad=True),
+                t64(rng.standard_normal((3, 5)), requires_grad=True),
+                t64(rng.uniform(0.5, 1.5, 5), requires_grad=True),
+                t64(rng.standard_normal(5), requires_grad=True)]
+
+    def test_backward_frees_every_intermediate(self):
+        leaves = self.leaves()
+        loss = self.chain(*leaves)
+        graph = Graph.trace(loss)
+        made = [t for t in graph.tensors if t.node is not None]
+        assert len(made) == 6 and made[-1] is loss
+        ad.backward(graph, loss)
+        assert all(t.node is None and t.grad is None for t in made)
+        assert all(leaf.grad is not None for leaf in leaves)
+
+    def test_leaf_gradients_pass_gradient_checks(self):
+        leaves = self.leaves()
+        self.chain(*leaves).backward()
+        grads = [leaf.grad for leaf in leaves]
+        for i, leaf in enumerate(leaves):
+            def f(t, i=i):
+                return self.chain(*(t if j == i else other for j, other in enumerate(leaves)))
+            assert grad_check(f, leaf, step=1e-6) < 1e-6
+            np.testing.assert_array_equal(leaf.grad, grads[i])
+
+    def test_spent_graph_reaches_no_leaf(self):
+        x = t64([3.0], requires_grad=True)
+        loss = ad.tsum(ad.mul(x, x))
+        loss.backward()
+        loss.backward()
+        np.testing.assert_allclose(x.grad, [6.0])
+
+    def test_no_grad_records_nothing_and_computes_the_same(self):
+        leaves = self.leaves()
+        with ad.no_grad():
+            quiet = ad.gelu(ad.matmul(leaves[0], leaves[1]))
+        loud = ad.gelu(ad.matmul(leaves[0], leaves[1]))
+        assert quiet.node is None and not quiet.requires_grad
+        assert loud.node is not None and loud.requires_grad
+        np.testing.assert_array_equal(quiet.data, loud.data)
+
+    def test_no_grad_nests_and_restores_after_an_exception(self):
+        x = t64([1.0], requires_grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                assert ad.mul(x, x).node is None
+            assert ad.mul(x, x).node is None
+        assert ad.mul(x, x).node is not None
+        with pytest.raises(RuntimeError, match="inside"):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert ad.mul(x, x).node is not None
+
+
 class TestGradCheck:
     def test_constant_gradient(self):
         x = t64([[0.3, -0.7], [1.1, 0.0]], requires_grad=True)

@@ -462,6 +462,14 @@ class TestLprmNetConfig:
         assert err == (f"config error: bad model_config for 'lprmnet:1A': LprmNet size "
                        f"{key} must be at least 1, got {value}\n")
 
+    @pytest.mark.parametrize("key, value, shown", [
+        ("grid", [30, 30], "(30, 30)"), ("power_channels", 25, "25"),
+        ("rod_channels", 24, "24"), ("scalar_count", 3, "3")])
+    def test_geometry_key_is_named(self, tmp_path, monkeypatch, capsys, key, value, shown):
+        err = self.refused(tmp_path, monkeypatch, capsys, {key: value})
+        assert err == (f"config error: bad model_config for 'lprmnet:1A': '{key}' is set "
+                       f"by the archive's geometry ({shown} here), not by model_config\n")
+
     def test_bypass_p_is_config_error(self, tmp_path, monkeypatch, capsys):
         err = self.refused(tmp_path, monkeypatch, capsys, {}, train={"bypass_p": 0.5})
         assert "bad train config: bypass_p" in err

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +35,7 @@ from virtlprm.models import (
     corestate_batch,
 )
 from virtlprm.synthplant import PlantScenario, generate_cycle
-from virtlprm.training import PREDICT_CHUNK, batched_predict
+from virtlprm.training import PREDICT_CHUNK, batched_predict, predict_batch
 
 SMALL_LPRMNET = LprmNetSpec(conv_channels=2, trunk_hidden=8, trunk_out=4,
                             scalar_hidden=4, scalar_out=4, regression_hidden=4)
@@ -396,3 +398,70 @@ class TestPredictionChunks:
         want = CompositePredictor(parts).predict(zeroed, geom)
         assert np.array_equal(served[mask].view(np.uint32), want[mask].view(np.uint32))
         assert np.array_equal(served[~mask], table.readings[~mask])
+
+
+class TestPredictionPins:
+    """SHA-256 of each model part's eval-mode predictions on a fixed table,
+    with seeded weights and running statistics: the prediction path's
+    arithmetic, and the batches it cuts, must not move."""
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("surrogate-ab", "fe44ff7bf7c033ed82aa1e11d825e22ce4e39c8de713186b86d95aed3b6111c1"),
+        ("cset", "25a59634825189f33561138b7de6db202690cd1040b7f59ee7f8010e2c2217e8"),
+        ("lprmnet", "3ab31a6f6ee0d4ca83f548605209852d4916cd1a269d1b980caf3369229fa71f"),
+    ])
+    def test_predictions_are_pinned(self, session_geom, clean_frames, kind, digest):
+        geom = session_geom
+        predictor = TestReadingsPredictorColumns.model_predictor(kind, geom)
+        rng = np.random.default_rng(31)
+        for stats in predictor.model.stats.values():
+            stats.mean[:] = 0.1 * rng.standard_normal(stats.mean.shape)
+            stats.var[:] = rng.uniform(0.5, 2.0, stats.var.shape)
+        got = predictor.predict(clean_frames, geom)[:, predictor.covered(geom)]
+        assert got.dtype == np.float32 and np.all(np.isfinite(got))
+        assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+
+
+class TestPredictionRecordsNoGraph:
+    """Every prediction runs through ``predict_batch``, which records no
+    graph, so an op's saved arrays die as the op returns."""
+
+    @pytest.mark.parametrize("kind", ["surrogate-ab", "cset", "lprmnet"])
+    def test_predictions_come_from_tensors_without_a_node(self, session_geom, clean_frames,
+                                                          kind):
+        predictor = TestReadingsPredictorColumns.model_predictor(kind, session_geom)
+        model, outputs = predictor.model, []
+        real = model.forward_batch
+
+        def forward_batch(inputs, mode="eval"):
+            outputs.append(real(inputs, mode=mode))
+            return outputs[-1]
+
+        model.forward_batch = forward_batch
+        inputs = predictor.model_inputs(clean_frames, session_geom)
+        predict_batch(model, inputs)
+        batched_predict(model, inputs)
+        predictor.predict(clean_frames, session_geom)
+        assert len(outputs) == 3
+        assert all(out.node is None and not out.requires_grad for out in outputs)
+        # the same forward outside ``predict_batch`` still records its graph
+        assert real(inputs, mode="eval").node is not None
+
+    def test_lprmnet_prediction_does_not_hold_every_im2col(self, session_geom):
+        """A 3x3 conv gathers its input's patches, (N, C_in * 9, H * W), and a
+        recorded graph keeps each conv's until the whole forward is dropped;
+        without one, each dies as its conv returns."""
+        geom = session_geom
+        n = 64
+        table = generate_cycle(PlantScenario(cycle_id=1, frame_count=n, seed=5), geom)
+        predictor = LprmNetPredictor(LprmNet(SMALL_LPRMNET, seed=3), DetectorId(2, "B"))
+        c = SMALL_LPRMNET.conv_channels
+        channels_in = SMALL_LPRMNET.power_channels + SMALL_LPRMNET.rod_channels + 2 * c
+        every_im2col = 4 * n * channels_in * 9 * geom.h * geom.w  # float32, 110 MB
+        tracemalloc.start()
+        try:
+            predictor.predict(table, geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < every_im2col

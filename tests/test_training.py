@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from virtlprm import autodiff as ad
 from virtlprm.autodiff import Tensor
 from virtlprm.evaluation import SetSurrogatePredictor
-from virtlprm.models import SurrogateNet, SurrogateSpec, _NetworkBase
+from virtlprm.models import LprmNet, LprmNetSpec, SurrogateNet, SurrogateSpec, _NetworkBase
 from virtlprm.synthplant import PlantScenario, generate_cycle
 from virtlprm.training import (
     ADAMW_BLOCK,
@@ -326,6 +327,48 @@ class TestTrainLoop:
         cfg = TrainConfig(max_lr=0.01, epochs=1, batch_size=32, seed=0)
         result = train(model, data, cfg)  # would raise DegenerateBatchError unfolded
         assert len(result.history) == 1
+
+
+class TestTrainingPins:
+    """SHA-256 of a model's whole state and loss history after a few
+    ``train`` steps: a change to the arithmetic of any op, its backward
+    rule, AdamW or the schedule changes it, and a change to when the graph
+    is freed must not."""
+
+    @staticmethod
+    def digest(model, result):
+        h = hashlib.sha256()
+        for arr in model.state().values():
+            h.update(arr.tobytes())
+        h.update(repr(result.history).encode())
+        return h.hexdigest()
+
+    def test_surrogate_state_is_pinned(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((40, 10)).astype(np.float32)
+        y = rng.standard_normal((40, 4)).astype(np.float32)
+        data = DataSplit({"x": x[:32]}, y[:32], {"x": x[32:]}, y[32:])
+        model = SurrogateNet(SurrogateSpec(10, 4, (8,) * 6), seed=5)
+        result = train(model, data, TrainConfig(max_lr=0.01, epochs=2, batch_size=12,
+                                                seed=3, bypass_p=0.2))
+        assert self.digest(model, result) == \
+            "d8290c7add4ec50c704e224fbb165da8aa603080d040d2e7fb3954c5c4c48983"
+
+    def test_lprmnet_state_is_pinned(self):
+        spec = LprmNetSpec(grid=(6, 6), power_channels=5, rod_channels=4, scalar_count=3,
+                           conv_channels=4, trunk_hidden=24, trunk_out=12,
+                           scalar_hidden=8, scalar_out=8, regression_hidden=8)
+        rng = np.random.default_rng(13)
+        inputs = {"np": rng.random((24, 5, 6, 6), dtype=np.float32),
+                  "rv": rng.random((24, 4, 6, 6), dtype=np.float32),
+                  "scalars": rng.random((24, 3), dtype=np.float32)}
+        y = rng.random((24, 1), dtype=np.float32)
+        data = DataSplit({k: v[:18] for k, v in inputs.items()}, y[:18],
+                         {k: v[18:] for k, v in inputs.items()}, y[18:])
+        model = LprmNet(spec, seed=6)
+        result = train(model, data, TrainConfig(max_lr=0.02, epochs=2, batch_size=8, seed=4))
+        assert self.digest(model, result) == \
+            "92ff960fc6a364e0d5f35827d4a94620c41b7479e570db9dd9a59f493e93b100"
 
 
 class TestHistoryCsv:
