@@ -76,6 +76,20 @@ def _existing(path, what: str):
     return path
 
 
+def _output_dir(path, what: str) -> Path:
+    """``path`` as a directory to write into; a path that names an existing
+    file, or lies under one, is a ``ConfigError``."""
+    if not isinstance(path, str):
+        raise ConfigError(f"{what} must be a path string, got {path!r}")
+    path = Path(path)
+    for part in (path, *path.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ConfigError(f"{what} {path} is not a directory: {part} is a file")
+            break
+    return path
+
+
 def _load_json(path, what: str) -> dict:
     try:
         with open(_existing(path, f"{what} file"), "r", encoding="utf-8") as fh:
@@ -162,6 +176,7 @@ def _scenarios_from_config(config: dict):
 
 
 def cmd_gen(args) -> int:
+    out = _output_dir(args.out, "output archive")
     config = _load_json(args.config, "scenario config")
     geom = _resolve_geometry(config.get("geometry", "default"))
     scenarios = _scenarios_from_config(config)
@@ -171,7 +186,7 @@ def cmd_gen(args) -> int:
         for block in plant_blocks(scenarios, geom):
             below.update(block.cycles[block.thermal_power < 0.9].tolist())
             yield block
-    save_archive(blocks(), args.out)
+    save_archive(blocks(), out)
     print(f"wrote {sum(s.frame_count for s in scenarios)} frames to {args.out}")
     for s in scenarios:
         print(f"  cycle {s.cycle_id}: {s.frame_count} frames, "
@@ -292,6 +307,7 @@ def cmd_train(args) -> int:
     for required in ("archive", "model", "split", "seed", "out_dir"):
         if required not in config:
             raise ConfigError(f"experiment config missing required field {required!r}")
+    out_dir = _output_dir(config["out_dir"], "out_dir")
     try:
         seed, rated_power = int(config["seed"]), float(config.get("rated_power", 1.0))
     except (TypeError, ValueError) as err:
@@ -325,7 +341,6 @@ def cmd_train(args) -> int:
         center_output_bias(model, y_tr)
     result = train(model, data, cfg)
 
-    out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
         "selector": selector,
@@ -375,12 +390,12 @@ def _frames_for_eval(args):
 
 
 def cmd_eval(args) -> int:
+    out_dir = _output_dir(args.out, "report output directory")
     geom = _resolve_geometry(args.geometry)
     predictor = _combined_predictor(args.checkpoint, geom)
     frames = _frames_for_eval(args)
     reference = OraclePredictor() if args.reference_oracle else None
     report = rmse_report(predictor, frames, geom, reference=reference)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.to_csv(out_dir / "report.csv")
     report.to_json(out_dir / "report.json")
@@ -420,11 +435,11 @@ def cmd_infer(args) -> int:
 
 
 def cmd_report(args) -> int:
+    out_dir = _output_dir(args.out, "report output directory")
     geom = _resolve_geometry(args.geometry)
     predictor = _combined_predictor(args.checkpoint, geom)
     frames = load_archive(_existing(args.archive, "archive"))
     report = drift_report(predictor, frames, geom, threshold=args.threshold)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.to_csv(out_dir / "drift.csv")
     report.to_json(out_dir / "drift.json")

@@ -110,6 +110,12 @@ class CoreGeometry:
         self._validate()
         self._detectors = tuple(DetectorId(s, lv) for s in self.string_indices for lv in LEVELS)
         self._detector_pos = {d: i for i, d in enumerate(self._detectors)}
+        self._set_indices = {}  # built once: serving asks for them per predictor and block
+        for name in SETS:
+            idx = np.array([i for i, d in enumerate(self._detectors)
+                            if self._set[d.string_index] == name], dtype=np.intp)
+            idx.flags.writeable = False
+            self._set_indices[name] = idx.view()  # a view of a locked array stays locked
 
     # -- construction helpers ------------------------------------------------
 
@@ -193,8 +199,11 @@ class CoreGeometry:
         return tuple(d for d in self._detectors if self._set[d.string_index] == set_name)
 
     def indices_for_set(self, set_name: str) -> np.ndarray:
-        return np.array([self.detector_index(d) for d in self.detectors_in_set(set_name)],
-                        dtype=np.intp)
+        """The set's detector vector indices in detector order, one shared
+        read-only array per set."""
+        if set_name not in SETS:
+            raise DataError(f"unknown set {set_name!r}")
+        return self._set_indices[set_name]
 
     def level_indices(self) -> dict[str, np.ndarray]:
         """Detector vector indices grouped by axial level A..D."""
@@ -398,26 +407,30 @@ class FrameTable:
 # derived features and data hygiene
 
 
-def derive_rod_variable(rod_pattern: np.ndarray, nodal_blade_depletion: np.ndarray) -> np.ndarray:
+def derive_rod_variable(rod_pattern: np.ndarray, nodal_blade_depletion: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Combine blade insertion with absorber depletion into the rod variable.
 
     Each radial insertion fraction is nodalized along the axial rod
     dimension: blades insert from the bottom, so the first round(f * D')
     axial entries become 1 (ties round up) and the rest 0. The nodalized
     array is then weighted by the fraction of absorber remaining at each
-    node, 1 - depletion.
+    node, 1 - depletion. The inputs are (..., H, W) and (..., H, W, D'):
+    leading frame axes, if any, are carried through. ``out``, if given, is
+    a float32 array of the result's shape that receives it.
     """
     rp = np.asarray(rod_pattern, dtype=np.float32)
     nbd = np.asarray(nodal_blade_depletion, dtype=np.float32)
-    if rp.ndim != 2 or nbd.ndim != 3 or nbd.shape[:2] != rp.shape:
+    if rp.ndim < 2 or nbd.ndim != rp.ndim + 1 or nbd.shape[:-1] != rp.shape:
         raise DataError(f"rod variable needs (H,W) and (H,W,D') inputs, got "
                         f"{rp.shape} and {nbd.shape}")
     _check_unit_range("rod pattern", *_min_max(rp))
     _check_unit_range("nodal blade depletion", *_min_max(nbd))
-    dprime = nbd.shape[2]
+    dprime = nbd.shape[-1]
     inserted = np.floor(rp * dprime + 0.5).astype(np.intp)
-    nodalized = (np.arange(dprime)[None, None, :] < inserted[:, :, None])
-    return ((1.0 - nbd) * nodalized).astype(np.float32)
+    rv = np.subtract(1.0, nbd, out=out)
+    rv *= np.arange(dprime) < inserted[..., None]  # nodalized
+    return rv
 
 
 # A reading above this multiple of its detector's median within the cycle is invalid.

@@ -247,6 +247,48 @@ def test_non_integer_setting_is_config_error(small_archive, tmp_path, monkeypatc
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "report"])
+def test_output_path_of_a_file_is_config_error(small_archive, tmp_path, monkeypatch, capsys,
+                                               command, under):
+    """An output directory that is an existing file, or lies under one, is
+    refused before any frame is generated or read, with nothing on stdout."""
+    fail_on_archive_read(monkeypatch)
+    fail_on_generation(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    out = taken / "sub" if under else taken
+    if command == "gen":
+        cfg = write_gen_config(tmp_path / "g.json", [{"cycle_id": 1, "frame_count": 4, "seed": 1}])
+        argv = ["gen", "--config", str(cfg), "--out", str(out)]
+    elif command == "train":
+        cfg = train_config(tmp_path / "exp.json", small_archive, "surrogate-ab")
+        config = json.loads(cfg.read_text())
+        config["out_dir"] = str(out)
+        cfg.write_text(json.dumps(config))
+        argv = ["train", "--config", str(cfg)]
+    else:
+        argv = [command, "--checkpoint", "oracle", "--archive", str(small_archive),
+                "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error") and f"{taken} is a file" in captured.err
+    assert taken.read_text() == "keep"
+
+
+def test_out_dir_not_a_string_is_config_error(small_archive, tmp_path, monkeypatch, capsys):
+    fail_on_archive_read(monkeypatch)
+    cfg = train_config(tmp_path / "exp.json", small_archive, "surrogate-ab")
+    config = json.loads(cfg.read_text())
+    config["out_dir"] = 5
+    cfg.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "out_dir must be a path string, got 5" in captured.err
+
+
 @pytest.mark.parametrize("drift", ["ab", "3A", 5, {"3A": 1}, [5]])
 def test_drift_detectors_not_a_list_of_codes_is_config_error(tmp_path, capsys, drift):
     cfg = write_gen_config(tmp_path / "g.json", [{"cycle_id": 1, "frame_count": 4, "seed": 1,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,21 @@ class TestGeometry:
         with pytest.raises(DataError, match="unknown detector"):
             geom.axis_detector_index(DetectorId(44, "A"))
 
+    def test_set_indices_are_shared_and_read_only(self, geom):
+        for name in ("A", "B", "C"):
+            idx = geom.indices_for_set(name)
+            assert idx.dtype == np.intp
+            assert idx.tolist() == [geom.detector_index(d) for d in geom.detectors_in_set(name)]
+            assert geom.indices_for_set(name) is idx
+            with pytest.raises(ValueError, match="read-only"):
+                idx[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                idx.sort()
+            with pytest.raises(ValueError):
+                idx.flags.writeable = True
+        with pytest.raises(DataError, match="unknown set 'D'"):
+            geom.indices_for_set("D")
+
     def test_layout_round_trip(self, geom, tmp_path):
         path = tmp_path / "layout.json"
         path.write_text(json.dumps(geom.to_layout()))
@@ -200,6 +216,40 @@ class TestRodVariable:
             # Non-decreasing in insertion.
             more = np.clip(rp + rng.random((3, 3)).astype(np.float32) * 0.2, 0, 1)
             assert np.all(derive_rod_variable(more, nbd) >= rv - 1e-7)
+
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    def test_stacked_frames_match_per_frame_calls(self, lead):
+        rng = np.random.default_rng(4)
+        rp = rng.random(lead + (6, 7)).astype(np.float32)
+        rp.reshape(-1)[::5] = 0.5 / 24.0  # ties, which round up
+        nbd = rng.random(lead + (6, 7, 24)).astype(np.float32)
+        stacked = derive_rod_variable(rp, nbd)
+        assert stacked.shape == nbd.shape and stacked.dtype == np.float32
+        for i in np.ndindex(lead):
+            assert stacked[i].tobytes() == derive_rod_variable(rp[i], nbd[i]).tobytes()
+        out = np.empty_like(nbd)
+        assert derive_rod_variable(rp, nbd, out=out) is out
+        assert out.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("field, bad, message", [
+        ("rp", 1.5, r"rod pattern must lie in \[0, 1\], got range \[0, 1.5\]"),
+        ("rp", np.nan, r"rod pattern must lie in \[0, 1\]"),
+        ("nbd", -0.1, r"nodal blade depletion must lie in \[0, 1\], got range \[-0.1, 0\]"),
+        ("nbd", np.inf, r"nodal blade depletion must lie in \[0, 1\]")])
+    def test_bad_value_in_one_frame_of_a_stack_rejected(self, field, bad, message):
+        arrays = {"rp": np.zeros((4, 3, 3), dtype=np.float32),
+                  "nbd": np.zeros((4, 3, 3, 24), dtype=np.float32)}
+        arrays[field][2].flat[4] = bad
+        with pytest.raises(DataError, match=message):
+            derive_rod_variable(arrays["rp"], arrays["nbd"])
+
+    @pytest.mark.parametrize("rp_shape, nbd_shape", [
+        ((4, 3, 3), (3, 3, 3, 24)), ((3, 3), (2, 3, 3, 24)), ((2, 3, 3), (3, 3, 24)),
+        ((2, 3, 3), (2, 3, 4, 24)), ((3,), (3, 24))])
+    def test_stack_shape_mismatch_rejected(self, rp_shape, nbd_shape):
+        with pytest.raises(DataError, match=r"rod variable needs \(H,W\) and \(H,W,D'\) "
+                                            r"inputs, got " + re.escape(f"{rp_shape} and {nbd_shape}")):
+            derive_rod_variable(np.zeros(rp_shape), np.zeros(nbd_shape))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DataError):

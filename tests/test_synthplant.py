@@ -10,12 +10,14 @@ from virtlprm.coredata import (
     default_geometry,
     geometry_from_layout,
 )
+from virtlprm import synthplant
 from virtlprm.synthplant import (
     LEVEL_AXIAL_NODE,
     PlantScenario,
     generate_cycle,
     generate_plant,
     oracle_readings,
+    plant_blocks,
 )
 
 
@@ -235,6 +237,33 @@ class TestGenerator:
             digest.update(np.ascontiguousarray(frames.column(name)).tobytes())
         assert digest.hexdigest() == \
             "a92b42d11d32d90e48fbaca2aeeb91e6f7e22d2ec81d7f3467d09cfe2614640c"
+
+    @pytest.mark.parametrize("sub_block", [None, 1, 7])
+    def test_streamed_cycle_across_sub_blocks_is_pinned(self, geom, monkeypatch, sub_block):
+        # SHA-256 over all six columns of one 90-frame cycle with broken
+        # symmetry, noise and a drifting subset, streamed as plant_blocks'
+        # 62- and 28-frame blocks, each several fill sub-blocks long; a
+        # sub-block of any size yields the same bytes
+        bytes_per_frame = 4 * geom.h * geom.w * geom.d
+        if sub_block is None:  # the default cuts each block into several sub-blocks
+            assert 1 < synthplant.FILL_BLOCK_BYTES // bytes_per_frame < 28
+        else:
+            monkeypatch.setattr(synthplant, "FILL_BLOCK_BYTES", sub_block * bytes_per_frame)
+        scenario = PlantScenario(cycle_id=4, frame_count=90, seed=33, symmetry_fidelity=0.6,
+                                 noise_sigma=0.01, drift_rate=0.004,
+                                 drift_detectors=frozenset({DetectorId(9, "C"),
+                                                            DetectorId(20, "D")}))
+        blocks = [{name: block.column(name).copy() for name in ARCHIVE_FIELDS}
+                  for block in plant_blocks([scenario], geom)]
+        assert [len(block["readings"]) for block in blocks] == [62, 28]
+        whole = generate_cycle(scenario, geom)
+        digest = hashlib.sha256()
+        for name in ARCHIVE_FIELDS:
+            column = np.concatenate([block[name] for block in blocks])
+            assert column.tobytes() == whole.column(name).tobytes(), name
+            digest.update(column.tobytes())
+        assert digest.hexdigest() == \
+            "3615e75c30cfdbee8518439871cb53197741e0e51fda6c6e83ddddfce5915840"
 
     def test_generate_plant_concatenates_cycles(self, geom):
         frames = generate_plant([
