@@ -97,10 +97,12 @@ class _OpNode:
 class Tensor:
     """Dense n-dimensional float array, optionally tracked for differentiation.
 
-    ``data`` is a C-contiguous float32 or float64 ndarray. When an operation
-    consumes a tensor with ``requires_grad`` set, the result records the
-    operation so that :func:`backward` can later populate ``grad`` buffers
-    (same shape as ``data``) on every tracked tensor.
+    ``data`` is a C-contiguous float32 or float64 ndarray. A C-contiguous
+    array already in that dtype is wrapped as it is, not copied: engine ops
+    never write into their operands. When an operation consumes a tensor with
+    ``requires_grad`` set, the result records the operation so that
+    :func:`backward` can later populate ``grad`` buffers (same shape as
+    ``data``) on every tracked tensor.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node")
@@ -111,7 +113,7 @@ class Tensor:
                 dtype = data.dtype
             else:
                 dtype = DEFAULT_DTYPE
-        arr = np.array(data, dtype=dtype, order="C")
+        arr = np.asarray(data, dtype=dtype, order="C")
         # one min and one max, no temporary: a NaN or an infinity shows in them
         if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             bad = int(arr.size - np.count_nonzero(np.isfinite(arr)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -106,14 +107,26 @@ def _resolve_geometry(spec):
     return load_geometry(_existing(spec, "geometry layout"))
 
 
-def _env_seed(seed):
+def _seed(seed: int, what: str = "seed") -> int:
+    """``seed``, or the ``VIRTLPRM_SEED`` override of it; a negative one is
+    a ``ConfigError``, as a random generator takes none."""
     override = os.environ.get("VIRTLPRM_SEED")
-    if override is None:
-        return seed
-    try:
-        return int(override)
-    except ValueError:
-        raise ConfigError(f"VIRTLPRM_SEED must be an integer, got {override!r}") from None
+    if override is not None:
+        try:
+            seed, what = int(override), "VIRTLPRM_SEED"
+        except ValueError:
+            raise ConfigError(f"VIRTLPRM_SEED must be an integer, got {override!r}") from None
+    if seed < 0:
+        raise ConfigError(f"{what} must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _finite(value: float, what: str, zero: bool) -> float:
+    """``value`` if it is finite and positive, or zero with ``zero``; else a ``ConfigError``."""
+    if not (math.isfinite(value) and (value > 0 or zero and value == 0)):
+        raise ConfigError(f"{what} must be a finite {'non-negative' if zero else 'positive'} "
+                          f"number, got {value}")
+    return value
 
 
 def _parse_bypass_list(text: str, geom):
@@ -154,7 +167,7 @@ def _scenarios_from_config(config: dict):
             scenarios.append(PlantScenario(
                 cycle_id=_integer_field(entry, "cycle_id"),
                 frame_count=_integer_field(entry, "frame_count"),
-                seed=_env_seed(_integer_field(entry, "seed")),
+                seed=_seed(_integer_field(entry, "seed")),
                 symmetry_fidelity=float(entry.get("symmetry_fidelity", 1.0)),
                 noise_sigma=float(entry.get("noise_sigma", 0.0)),
                 drift_rate=float(entry.get("drift_rate", 0.0)),
@@ -312,7 +325,8 @@ def cmd_train(args) -> int:
         seed, rated_power = int(config["seed"]), float(config.get("rated_power", 1.0))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad seed or rated_power: {err}") from None
-    seed = _env_seed(seed)
+    seed = _seed(seed)
+    _finite(rated_power, "rated_power", zero=False)
     geom = _resolve_geometry(config.get("geometry", "default"))
     selector = config["model"]
     role, target = _parse_selector(selector, geom)
@@ -362,12 +376,16 @@ def cmd_train(args) -> int:
 
 
 def _predictor_for_checkpoint(path, geom):
-    """A checkpoint's predictor, in the role its ``training.selector`` names."""
+    """A checkpoint's predictor, in the role its ``training.selector`` names;
+    a role of another network family is a ``DataError``."""
     model = load_checkpoint(_existing(path, "checkpoint"))
     selector = model.training_meta.get("selector")
     if selector is None:
         raise ConfigError(f"checkpoint {path} names no model selector in its training block")
     role, target = _parse_selector(selector, geom)
+    if not isinstance(model, role.network):
+        raise DataError(f"checkpoint {path} is a {model.model_type!r} model, but its selector "
+                        f"{selector!r} names a {role.network.model_type!r} one")
     return role.predictor(model, target)
 
 
@@ -391,6 +409,9 @@ def _frames_for_eval(args):
 
 def cmd_eval(args) -> int:
     out_dir = _output_dir(args.out, "report output directory")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+    _finite(args.rated_power, "--rated-power", zero=False)
     geom = _resolve_geometry(args.geometry)
     predictor = _combined_predictor(args.checkpoint, geom)
     frames = _frames_for_eval(args)
@@ -436,6 +457,7 @@ def cmd_infer(args) -> int:
 
 def cmd_report(args) -> int:
     out_dir = _output_dir(args.out, "report output directory")
+    _finite(args.threshold, "--threshold", zero=True)
     geom = _resolve_geometry(args.geometry)
     predictor = _combined_predictor(args.checkpoint, geom)
     frames = load_archive(_existing(args.archive, "archive"))

@@ -591,16 +591,15 @@ def read_blob(path, offset: int = 0, count: int = -1) -> np.ndarray:
         raise DataError(f"cannot read {path}: {err.strerror or err}") from None
 
 
-def _check_blob_size(path: Path, name: str, shape: tuple, count: int) -> None:
-    """A field's blob exists at its declared size; nothing is read from it."""
-    blob = path / f"{name}.bin"
+def check_blob_size(blob: Path, values: int) -> None:
+    """A flat float32 blob exists and holds exactly ``values`` values;
+    nothing is read from it."""
     try:
         size = blob.stat().st_size
     except OSError as err:
         raise DataError(f"cannot read {blob}: {err.strerror or err}") from None
-    expected = 4 * count * int(np.prod(shape))
-    if size != expected:
-        raise DataError(f"{name}.bin holds {size} bytes, expected {expected}")
+    if size != 4 * values:
+        raise DataError(f"{blob.name} holds {size} bytes, expected {4 * values}")
 
 
 class _ArchiveColumns:
@@ -656,7 +655,7 @@ def load_archive(path) -> FrameTable:
     if len(shapes["readings"]) != 1:
         raise DataError(f"readings must be a flat vector, got shape {shapes['readings']}")
     for name in ARCHIVE_FIELDS:
-        _check_blob_size(path, name, shapes[name], count)
+        check_blob_size(path / f"{name}.bin", count * int(np.prod(shapes[name])))
     readings = read_blob(path / "readings.bin").reshape((count,) + shapes["readings"])
     return FrameTable(readings, timestamps, cycles, _ArchiveColumns(path, shapes, timestamps),
                       bypassed)

@@ -18,6 +18,7 @@ spec dataclasses; they are pinned for reproducibility, not tuned.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -27,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import AxialAttentionParams, axial_attention
 from .autodiff import RunningStats, Tensor
-from .coredata import DataError, read_blob, read_manifest, write_json
+from .coredata import DataError, check_blob_size, read_manifest, write_json
 
 CHECKPOINT_SCHEMA = 1
 
@@ -108,7 +109,9 @@ class _NetworkBase:
         self._construct(spec, seed, draws, dtype)
 
     def _construct(self, spec, seed: int, table: dict, dtype=np.float32):
-        """Copy each layout entry from ``table`` once, in ``dtype``: drawn or loaded.
+        """Keep each layout entry of ``table``, drawn or loaded, as the model's
+        own array: one already C-contiguous in ``dtype`` as it is, any other
+        copied once into ``dtype``. ``table`` hands its arrays over.
 
         The entries are wrapped without ``Tensor``'s finiteness check: a drawn
         entry is finite by construction, and ``load_checkpoint`` has checked
@@ -118,15 +121,16 @@ class _NetworkBase:
         self.seed = int(seed)
         self.params, self.stats = {}, {}
         for e in self.layout(spec):
+            arr = np.asarray(table[e.key], dtype=dtype, order="C")
             if e.stat is None:
-                param = Tensor._result(np.array(table[e.key], dtype=dtype, order="C"), (), None)
+                param = Tensor._result(arr, (), None)
                 param.requires_grad = True
                 self.params[e.key] = param
                 continue
             norm, buffer = e.stat
             if norm not in self.stats:
                 self.stats[norm] = RunningStats.__new__(RunningStats)
-            setattr(self.stats[norm], buffer, np.array(table[e.key], dtype=dtype))
+            setattr(self.stats[norm], buffer, arr)
 
     def state(self) -> dict[str, np.ndarray]:
         """Every state entry's array (the model's own, not a copy) by key, in
@@ -341,19 +345,25 @@ def center_output_bias(model: _NetworkBase, targets: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # checkpoints: manifest.json + one flat little-endian float32 blob
 
+# checkpoint families by ``model_type``; ``spec.kind`` restates it for readers
+_FAMILIES = {net.model_type: net for net in (SurrogateNet, LprmNet)}
+
+
+def _entries(network, spec) -> list[dict]:
+    """The checkpoint's entry table, from the network's layout: each entry's
+    key, kind, shape and offset (in values) into the blob, in layout order."""
+    table, offset = [], 0
+    for e in network.layout(spec):
+        shape = [int(s) for s in e.shape]
+        table.append({"key": e.key, "kind": "param" if e.stat is None else "buffer",
+                      "offset": offset, "shape": shape})
+        offset += math.prod(shape)
+    return table
+
 
 def save_checkpoint(model: _NetworkBase, path, training_meta: dict | None = None) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    entries = []
-    offset = 0
-    blobs = []
-    for key, arr in model.state().items():
-        flat = np.ascontiguousarray(arr, dtype="<f4")
-        entries.append({"key": key, "kind": "param" if key in model.params else "buffer",
-                        "shape": list(arr.shape), "offset": offset})
-        offset += flat.size
-        blobs.append(flat)
     manifest = {
         "format": "virtlprm-checkpoint",
         "schema_version": CHECKPOINT_SCHEMA,
@@ -362,35 +372,18 @@ def save_checkpoint(model: _NetworkBase, path, training_meta: dict | None = None
         "spec": {"kind": model.model_type, **asdict(model.spec)},
         "seed": model.seed,
         "training": training_meta or {},
-        "entries": entries,
+        "entries": _entries(type(model), model.spec),
     }
     write_json(path / "manifest.json", manifest)
     with open(path / "params.bin", "wb") as fh:
-        for blob in blobs:
-            fh.write(blob.tobytes())
-
-
-# checkpoint families by ``model_type``; ``spec.kind`` restates it for readers
-_FAMILIES = {net.model_type: net for net in (SurrogateNet, LprmNet)}
-
-
-def _entry_fields(entry, path) -> tuple[str, tuple, int]:
-    """An ``entries`` item's key, shape and offset; a malformed one is a ``DataError``."""
-    try:
-        key = str(entry["key"])
-        shape = tuple(int(s) for s in entry["shape"])
-        start = int(entry["offset"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise DataError(f"checkpoint {path}: bad entries item {entry!r}: {err!r}") from None
-    if start < 0 or any(s < 0 for s in shape):
-        raise DataError(f"checkpoint {path}: entry {key} has a negative shape or offset")
-    return key, shape, start
+        for arr in model.state().values():  # layout order, as the table lists them
+            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def load_checkpoint(path):
-    """Rebuild a model from a checkpoint directory, bit-exactly: each entry
-    of its network's layout is read from the blob, checked and copied once;
-    nothing is drawn."""
+    """Rebuild a model from a checkpoint directory, bit-exactly: its entry
+    table must be the one its network's layout gives, and each entry is read
+    from the blob straight into the array the model keeps; nothing is drawn."""
     path = Path(path)
     manifest = read_manifest(path, "virtlprm-checkpoint", CHECKPOINT_SCHEMA)
     try:
@@ -400,32 +393,32 @@ def load_checkpoint(path):
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise DataError(f"checkpoint {path}: bad model type, spec or seed: {err!r}") from None
 
-    blob = path / "params.bin"
-    raw = read_blob(blob)
-    table = {}
-    expected = 0
-    for entry in manifest["entries"]:
-        key, shape, start = _entry_fields(entry, path)
-        count = int(np.prod(shape)) if shape else 1
-        if start + count > raw.size:
-            raise DataError(f"checkpoint blob too small for entry {key}")
-        # a view into the blob; the model's constructor makes each entry's one copy
-        table[key] = raw[start:start + count].reshape(shape)
-        expected += count
-    if blob.stat().st_size != raw.itemsize * expected:
-        raise DataError(f"checkpoint blob is {blob.stat().st_size} bytes, its entries "
-                        f"account for {raw.itemsize * expected}")
+    table, entries = _entries(network, spec), manifest["entries"]
+    if not isinstance(entries, list):
+        raise DataError(f"checkpoint {path}: entries is {entries!r}, the layout gives "
+                        f"a list of {len(table)} items")
+    if entries != table:
+        i = next((i for i, (got, want) in enumerate(zip(entries, table)) if got != want),
+                 min(len(entries), len(table)))
+        got, want = (repr(items[i]) if i < len(items) else "no item"
+                     for items in (entries, table))
+        raise DataError(f"checkpoint {path}: bad entries item {i}: {got}, "
+                        f"the layout gives {want}")
 
-    for e in network.layout(spec):
-        arr = table.get(e.key)
-        if arr is None:
-            raise DataError(f"checkpoint missing entry {e.key}")
-        if arr.shape != e.shape:
-            raise DataError(f"checkpoint entry {e.key} has shape {arr.shape}, "
-                            f"expected {e.shape}")
-        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # NaN or inf shows here
-            raise DataError(f"checkpoint entry {e.key} holds non-finite values")
+    check_blob_size(path / "params.bin", sum(math.prod(e["shape"]) for e in table))
+    state = {}
+    # readinto fills each entry's array from one open handle: np.fromfile on a
+    # file object duplicates and seeks its descriptor on every call, several
+    # times the cost of reading a small entry
+    with open(path / "params.bin", "rb") as fh:
+        for e in table:
+            arr = np.empty(e["shape"], dtype="<f4")
+            if fh.readinto(arr) != arr.nbytes:  # the blob shrank since its size was checked
+                raise DataError(f"checkpoint blob ends inside entry {e['key']}")
+            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # NaN or inf shows here
+                raise DataError(f"checkpoint entry {e['key']} holds non-finite values")
+            state[e["key"]] = arr
     model = network.__new__(network)
-    model._construct(spec, seed, table)
+    model._construct(spec, seed, state)
     model.training_meta = manifest.get("training", {})
     return model

@@ -40,6 +40,19 @@ class TestTensor:
         with pytest.raises(ValueError, match="holds 1 non-finite"):
             Tensor(np.float64(np.nan))
 
+    def test_wraps_a_ready_array_without_copying(self):
+        for dtype in (np.float32, np.float64):
+            arr = np.arange(6, dtype=dtype).reshape(2, 3)
+            assert np.shares_memory(Tensor(arr).data, arr)
+        scalar = np.array(2.0, dtype=np.float32)
+        assert Tensor(scalar).shape == ()
+
+    def test_copies_a_strided_or_converted_array(self):
+        arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+        for t in (Tensor(arr.T), Tensor(arr[:, ::2]), Tensor(arr, dtype=np.float64)):
+            assert not np.shares_memory(t.data, arr) and t.data.flags.c_contiguous
+        np.testing.assert_array_equal(Tensor(arr.T).data, arr.T)
+
     def test_zero_size_is_valid(self):
         assert Tensor(np.zeros((0, 3))).shape == (0, 3)
 

@@ -300,6 +300,72 @@ def test_drift_detectors_not_a_list_of_codes_is_config_error(tmp_path, capsys, d
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("case", ["gen", "gen VIRTLPRM_SEED", "train", "train VIRTLPRM_SEED",
+                                  "eval"])
+def test_negative_seed_is_config_error(small_archive, tmp_path, monkeypatch, capsys, case):
+    """A negative seed, from a config, the environment or ``--seed``, is
+    refused before anything is generated, read or written."""
+    fail_on_archive_read(monkeypatch)
+    fail_on_generation(monkeypatch)
+    command, _, env = case.partition(" ")
+    seed = -5 if env else -1
+    if env:
+        monkeypatch.setenv(env, str(seed))
+    if command == "gen":
+        cfg = write_gen_config(tmp_path / "g.json", [{"cycle_id": 1, "frame_count": 4,
+                                                      "seed": 1 if env else seed}])
+        argv = ["gen", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    elif command == "train":
+        cfg = train_config(tmp_path / "exp.json", small_archive, "surrogate-ab")
+        config = json.loads(cfg.read_text())
+        config["seed"] = 3 if env else seed
+        cfg.write_text(json.dumps(config))
+        argv = ["train", "--config", str(cfg)]
+    else:
+        argv = ["eval", "--checkpoint", "oracle", "--archive", str(small_archive),
+                "--out", str(tmp_path / "run"), "--seed", str(seed)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error")
+    assert f"{env or 'seed'} must be a non-negative integer, got {seed}" in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, name, value", [
+    ("report", "--threshold", "nan"), ("report", "--threshold", "-1"),
+    ("report", "--threshold", "inf"), ("eval", "--rated-power", "0"),
+    ("eval", "--rated-power", "-2"), ("eval", "--rated-power", "nan"),
+    ("eval", "--rated-power", "inf"), ("train", "rated_power", 0),
+    ("train", "rated_power", -1.5), ("train", "rated_power", "nan")])
+def test_out_of_range_number_is_config_error(small_archive, tmp_path, monkeypatch, capsys,
+                                             command, name, value):
+    """A non-finite or negative drift threshold, and a rated power that is not
+    finite and positive, are refused before the archive is read."""
+    fail_on_archive_read(monkeypatch)
+    if command == "train":
+        cfg = train_config(tmp_path / "exp.json", small_archive, "surrogate-ab")
+        config = json.loads(cfg.read_text())
+        config[name] = value
+        cfg.write_text(json.dumps(config))
+        argv = ["train", "--config", str(cfg)]
+    else:
+        argv = [command, "--checkpoint", "oracle", "--archive", str(small_archive),
+                "--out", str(tmp_path / "run"), name, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error")
+    assert f"{name} must be a finite" in captured.err and str(float(value)) in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+def test_zero_threshold_is_accepted(small_archive, tmp_path, capsys):
+    assert main(["report", "--checkpoint", "oracle", "--archive", str(small_archive),
+                 "--out", str(tmp_path / "run"), "--threshold", "0"]) == 0
+    assert "(|offset| > 0.0)" in capsys.readouterr().out
+
+
 class TestTrain:
     def test_writes_checkpoint_and_history(self, trained_run):
         out = trained_run["out_dir"]
@@ -618,10 +684,29 @@ def drop_manifest_key(directory, key):
     (directory / "manifest.json").write_text(json.dumps(manifest))
 
 
+def edit_entries(ckpt, edit):
+    """Replace the checkpoint's ``entries`` table with ``edit(entries)``."""
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["entries"] = edit(manifest["entries"])
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
 def edit_entry(ckpt, edit, index=3):
     """Replace the checkpoint's ``entries`` item ``index`` with ``edit(item)``."""
+    edit_entries(ckpt, lambda entries: [edit(e) if i == index else e
+                                        for i, e in enumerate(entries)])
+
+
+def swap_offsets(entries, i, j):
+    """``entries`` with the offsets of items ``i`` and ``j`` exchanged."""
+    swapped = [dict(e) for e in entries]
+    swapped[i]["offset"], swapped[j]["offset"] = entries[j]["offset"], entries[i]["offset"]
+    return swapped
+
+
+def set_selector(ckpt, selector):
     manifest = json.loads((ckpt / "manifest.json").read_text())
-    manifest["entries"][index] = edit(manifest["entries"][index])
+    manifest["training"]["selector"] = selector
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
 
 
@@ -655,7 +740,29 @@ class TestUnreadableCheckpoint:
             lambda ckpt: edit_entry(ckpt, lambda e: [e["key"], e["shape"], e["offset"]]),
             3, "bad entries item"),
         "entry with negative offset": (
-            lambda ckpt: edit_entry(ckpt, lambda e: {**e, "offset": -4}), 3, "negative"),
+            lambda ckpt: edit_entry(ckpt, lambda e: {**e, "offset": -4}), 3, "'offset': -4"),
+        # the trained surrogate's entries: fc1.weight, fc1.bias, bn1.gamma,
+        # bn1.beta, ..., 38 in all; each fault below edits the manifest only
+        "overlapping offset": (
+            lambda ckpt: edit_entry(ckpt, lambda e: {**e, "offset": 0}, index=1),
+            3, "bad entries item 1"),
+        "swapped offsets": (
+            lambda ckpt: edit_entries(ckpt, lambda es: swap_offsets(es, 2, 3)),
+            3, "bad entries item 2"),
+        "extra entry": (
+            lambda ckpt: edit_entries(ckpt, lambda es: es + [
+                {"key": "extra", "kind": "buffer", "shape": [0], "offset": 0}]),
+            3, "bad entries item 38"),
+        "missing entry": (lambda ckpt: edit_entries(ckpt, lambda es: es[:-1]),
+                          3, "bad entries item 37"),
+        "reordered entries": (
+            lambda ckpt: edit_entries(ckpt, lambda es: [es[1], es[0]] + es[2:]),
+            3, "bad entries item 0"),
+        "misshapen entry": (
+            lambda ckpt: edit_entry(ckpt, lambda e: {**e, "shape": [4, 4]}, index=1),
+            3, "bad entries item 1"),
+        "entries null": (lambda ckpt: edit_entries(ckpt, lambda es: None), 3, "entries"),
+        "entries a number": (lambda ckpt: edit_entries(ckpt, lambda es: 5), 3, "entries"),
     }
 
     @pytest.mark.parametrize("fault", list(FAULTS))
@@ -671,6 +778,31 @@ class TestUnreadableCheckpoint:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert words in captured.err
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    @pytest.mark.parametrize("family", ["surrogate", "lprmnet"])
+    def test_selector_of_another_network_is_data_error(self, trained_run, small_archive,
+                                                        tmp_path, capsys, family, command):
+        """A checkpoint whose selector names a role of the other network family
+        is refused, naming both, before anything is printed."""
+        if family == "surrogate":
+            selector = "lprmnet:1A"
+            ckpt = checkpoint_copy(trained_run["out_dir"] / "checkpoint", tmp_path / "ckpt",
+                                   lambda ckpt: set_selector(ckpt, selector))
+        else:
+            selector = "surrogate-ab"
+            geom = default_geometry()
+            net = LprmNet(LprmNetSpec(grid=(geom.h, geom.w), power_channels=geom.d,
+                                      rod_channels=geom.dprime, **SMALL_LPRMNET), seed=1)
+            ckpt = tmp_path / "ckpt"
+            save_checkpoint(net, ckpt, training_meta={"selector": selector})
+        argv = [command, "--checkpoint", str(ckpt), "--archive", str(small_archive)]
+        argv += ["--out", str(tmp_path / "rep")] if command == "eval" else ["--bypass", "6A"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"is a {family!r} model" in captured.err and repr(selector) in captured.err
+        assert not (tmp_path / "rep").exists()
 
 
 class TestInfer:

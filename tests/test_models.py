@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from virtlprm import autodiff as ad
+from virtlprm import coredata, models
 from virtlprm.autodiff import Tensor, grad_check
 from virtlprm.coredata import DataError, DetectorId, default_geometry
 from virtlprm.evaluation import AxisDetectorPredictor, LprmNetPredictor, SetSurrogatePredictor
@@ -33,6 +35,24 @@ def geom():
 def frames(geom):
     return generate_cycle(PlantScenario(cycle_id=1, frame_count=12, seed=100,
                                         noise_sigma=0.01), geom)
+
+
+CHECKPOINTS = Path(__file__).resolve().parent / "fixtures" / "checkpoints"
+
+
+def checkpoint_fixture_model(kind: str):
+    """The model each ``fixtures/checkpoints/<kind>`` directory was saved
+    from: a seeded network with every state entry overwritten by normal draws."""
+    if kind == "surrogate":
+        net = SurrogateNet(SurrogateSpec(5, 2, (3,) * 6), seed=31)
+    else:
+        net = LprmNet(LprmNetSpec(grid=(3, 2), power_channels=2, rod_channels=2, scalar_count=3,
+                                  conv_channels=2, trunk_hidden=3, trunk_out=2, scalar_hidden=2,
+                                  scalar_out=2, regression_hidden=2), seed=32)
+    rng = np.random.default_rng(33)
+    for arr in net.state().values():
+        arr[...] = rng.standard_normal(arr.shape)
+    return net
 
 
 def small_lprmnet_spec():
@@ -428,6 +448,22 @@ class TestCheckpoints:
             for key, arr in net.state().items():
                 np.testing.assert_array_equal(again.state()[key], arr)
 
+    @pytest.mark.parametrize("kind", ["surrogate", "lprmnet"])
+    def test_stored_checkpoint_loads_bit_identically(self, tmp_path, kind):
+        """A checkpoint kept in the repository, written by an earlier version
+        of ``save_checkpoint``, loads to exactly the state it was written
+        from, and saving that model again gives the same two files."""
+        stored = CHECKPOINTS / kind
+        want = checkpoint_fixture_model(kind)
+        again = load_checkpoint(stored)
+        assert again.spec == want.spec and again.seed == want.seed
+        assert list(again.state()) == list(want.state())
+        for key, arr in want.state().items():
+            assert again.state()[key].tobytes() == arr.tobytes(), key
+        save_checkpoint(again, tmp_path / "c", training_meta=again.training_meta)
+        for name in ("manifest.json", "params.bin"):
+            assert (tmp_path / "c" / name).read_bytes() == (stored / name).read_bytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, tmp_path, bad):
         net = SurrogateNet(SurrogateSpec(4, 2, (3,) * 6), seed=13)
@@ -442,6 +478,20 @@ class TestCheckpoints:
         blob = tmp_path / "c" / "params.bin"
         blob.write_bytes(blob.read_bytes()[:-16])
         with pytest.raises(DataError):
+            load_checkpoint(tmp_path / "c")
+
+    def test_blob_shrunk_after_its_size_check_rejected(self, tmp_path, monkeypatch):
+        # the blob is cut between its size check and the read: the entries
+        # it no longer holds are not left unfilled
+        net = SurrogateNet(SurrogateSpec(4, 2, (3,) * 6), seed=13)
+        save_checkpoint(net, tmp_path / "c")
+        blob = tmp_path / "c" / "params.bin"
+
+        def check_then_cut(path, values):
+            coredata.check_blob_size(path, values)
+            blob.write_bytes(blob.read_bytes()[:-4])
+        monkeypatch.setattr(models, "check_blob_size", check_then_cut)
+        with pytest.raises(DataError, match="ends inside entry bn6.running_var"):
             load_checkpoint(tmp_path / "c")
 
     @pytest.mark.parametrize("extra", [b"\x00" * 4, b"\x00" * 2])
