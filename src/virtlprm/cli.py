@@ -3,7 +3,7 @@ experiments over frame archives.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 divergence. The ``VIRTLPRM_SEED`` environment variable overrides the seed
-of any loaded configuration (for CI sweeps).
+of any loaded configuration and ``eval --seed`` (for CI sweeps).
 """
 
 from __future__ import annotations
@@ -143,11 +143,15 @@ def _parse_bypass_list(text: str, geom):
 # gen
 
 
-def _integer_field(entry: dict, name: str) -> int:
-    value = entry[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name!r} must be an integer, got {value!r}")
-    return value
+def _number_field(entry: dict, name: str, kind: type = int, default: float | None = None):
+    """``entry[name]``, or ``default`` if it is given and the key is absent, as
+    a ``kind``: a JSON integer for ``int``, any JSON number for ``float``.
+    Anything else, a string or a boolean included, is a ``ConfigError``."""
+    value = entry[name] if default is None else entry.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise ConfigError(f"{name!r} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
+    return kind(value)
 
 
 def _scenarios_from_config(config: dict):
@@ -165,21 +169,17 @@ def _scenarios_from_config(config: dict):
                 raise ConfigError(f"'drift_detectors' must be a list of detector codes, "
                                   f"got {drift!r}")
             scenarios.append(PlantScenario(
-                cycle_id=_integer_field(entry, "cycle_id"),
-                frame_count=_integer_field(entry, "frame_count"),
-                seed=_seed(_integer_field(entry, "seed")),
-                symmetry_fidelity=float(entry.get("symmetry_fidelity", 1.0)),
-                noise_sigma=float(entry.get("noise_sigma", 0.0)),
-                drift_rate=float(entry.get("drift_rate", 0.0)),
+                cycle_id=_number_field(entry, "cycle_id"),
+                frame_count=_number_field(entry, "frame_count"),
+                seed=_seed(_number_field(entry, "seed")),
+                symmetry_fidelity=_number_field(entry, "symmetry_fidelity", float, 1.0),
+                noise_sigma=_number_field(entry, "noise_sigma", float, 0.0),
+                drift_rate=_number_field(entry, "drift_rate", float, 0.0),
                 drift_detectors=None if drift is None else
                 frozenset(DetectorId.parse(c) for c in drift),
             ))
         except KeyError as missing:
             raise ConfigError(f"cycle entry missing field {missing}") from None
-        except (ConfigError, DataError):  # a value out of range stays a data error
-            raise
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"bad cycle entry {entry}: {err}") from None
     ids = [s.cycle_id for s in scenarios]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"'cycle_id' values must be distinct, got {ids}")
@@ -321,12 +321,9 @@ def cmd_train(args) -> int:
         if required not in config:
             raise ConfigError(f"experiment config missing required field {required!r}")
     out_dir = _output_dir(config["out_dir"], "out_dir")
-    try:
-        seed, rated_power = int(config["seed"]), float(config.get("rated_power", 1.0))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad seed or rated_power: {err}") from None
-    seed = _seed(seed)
-    _finite(rated_power, "rated_power", zero=False)
+    seed = _seed(_number_field(config, "seed"))
+    rated_power = _finite(_number_field(config, "rated_power", float, 1.0), "rated_power",
+                          zero=False)
     geom = _resolve_geometry(config.get("geometry", "default"))
     selector = config["model"]
     role, target = _parse_selector(selector, geom)
@@ -397,24 +394,22 @@ def _combined_predictor(checkpoints, geom):
     return CompositePredictor([_predictor_for_checkpoint(p, geom) for p in checkpoints])
 
 
-def _frames_for_eval(args):
+def _frames_for_eval(args, seed: int):
+    """The archive's frames after transient filtering: all of them for
+    ``--split none``, else the test part of the split ``seed`` draws."""
     cycle = None if args.split == "none" else _holdout_cycle(args.split)
     frames = load_archive(_existing(args.archive, "archive"))
     kept = filter_transients(frames, rated_power=args.rated_power)
-    if args.split == "none":
-        return kept
-    train_f, val_f, test_f = _split_frames(kept, cycle, args.seed)
-    return {"train": train_f, "val": val_f, "test": test_f}[args.part]
+    return kept if args.split == "none" else _split_frames(kept, cycle, seed)[2]
 
 
 def cmd_eval(args) -> int:
     out_dir = _output_dir(args.out, "report output directory")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+    seed = _seed(args.seed, "--seed")
     _finite(args.rated_power, "--rated-power", zero=False)
     geom = _resolve_geometry(args.geometry)
     predictor = _combined_predictor(args.checkpoint, geom)
-    frames = _frames_for_eval(args)
+    frames = _frames_for_eval(args, seed)
     reference = OraclePredictor() if args.reference_oracle else None
     report = rmse_report(predictor, frames, geom, reference=reference)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -504,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--geometry", default="default")
     p_eval.add_argument("--split", default="surrogate",
                         help="'surrogate', 'holdout:<cycle>', or 'none'")
-    p_eval.add_argument("--part", default="test", choices=["train", "val", "test"])
-    p_eval.add_argument("--seed", type=int, default=0, help="split seed")
+    p_eval.add_argument("--seed", type=int, default=0,
+                        help="split seed (VIRTLPRM_SEED overrides it)")
     p_eval.add_argument("--rated-power", dest="rated_power", type=float, default=1.0)
     p_eval.add_argument("--reference-oracle", action="store_true",
                         help="add the analytic model as a reference column")

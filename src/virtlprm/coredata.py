@@ -22,7 +22,6 @@ import numpy as np
 
 LEVELS = ("A", "B", "C", "D")
 SETS = ("A", "B", "C")
-DETECTORS_PER_STRING = 4
 
 ARCHIVE_SCHEMA = 1
 ARCHIVE_FIELDS = ("np", "rv", "rp", "nbd", "scalars", "readings")
@@ -62,7 +61,7 @@ class DetectorId:
     @classmethod
     def parse(cls, code: str) -> "DetectorId":
         code = code.strip().upper()
-        if len(code) < 2 or code[-1] not in LEVELS or not code[:-1].isdigit():
+        if len(code) < 2 or code[-1] not in LEVELS or not code[:-1].isdecimal():
             raise DataError(f"cannot parse detector code {code!r}")
         return cls(int(code[:-1]), code[-1])
 
@@ -283,18 +282,19 @@ def _check_core_state(shapes: dict, read, timestamps: np.ndarray) -> None:
     in their ranges. A fault is a ``DataError`` naming the field and the
     timestamp of its first bad frame.
 
-    Fields are checked in turn, each block by block; a block costs one min
-    and one max, and only a failing one is searched frame by frame.
+    Fields are checked in turn, each in the table's blocks of ``block_rows``
+    frames; a block costs one min and one max, and only a failing one is
+    searched frame by frame.
     """
     n = len(timestamps)
     grid = shapes["np"][1:3]
+    step = block_rows(shape[1:] for shape in shapes.values())
     for name, (label, ndim, low, high, rule) in _CORE_STATE.items():
         shape = shapes[name]
         lead = (n,) + grid if ndim > 2 else (n, len(SCALAR_FIELDS))
         if len(shape) != ndim or shape[:len(lead)] != lead:
             raise DataError(f"core-state field {name!r} has shape {shape}, expected "
                             f"{ndim} dimensions starting {lead}")
-        step = block_rows([shape[1:]])
         for start in range(0, n, step):
             block = read(name, start, start + step)
             lo, hi = _min_max(block)
@@ -312,14 +312,18 @@ def _check_core_state(shapes: dict, read, timestamps: np.ndarray) -> None:
 
 class _ArrayColumns:
     """Core-state columns held in memory, by field name: their full
-    ``shapes``, and ``read(name, lo, hi)``, a view of rows ``lo`` to ``hi``."""
+    ``shapes``, and ``read(name, lo, hi, out)``, a view of rows ``lo`` to
+    ``hi``, or those rows copied into ``out`` if it is given."""
 
     def __init__(self, columns: dict):
         self.columns = columns
         self.shapes = {name: col.shape for name, col in columns.items()}
 
-    def read(self, name: str, lo: int, hi: int) -> np.ndarray:
-        return self.columns[name][lo:hi]
+    def read(self, name: str, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return self.columns[name][lo:hi]
+        out[...] = self.columns[name][lo:hi]
+        return out
 
 
 class FrameTable:
@@ -335,7 +339,8 @@ class FrameTable:
     only when asked for (how ``load_archive`` defers them). ``column(name)``
     returns a column of the table's rows; ``take(rows)`` selects rows and
     reads or copies no core state; ``blocks()`` cuts the table into
-    sub-tables that each hold at most ``CORE_BLOCK_BYTES`` of core state.
+    sub-tables, with their row slices, that each hold at most
+    ``CORE_BLOCK_BYTES`` of core state.
     """
 
     def __init__(self, readings, timestamps, cycles, core, bypassed=None):
@@ -360,14 +365,17 @@ class FrameTable:
 
     def column(self, name: str, channel_first: bool = False) -> np.ndarray:
         """The column of archive field ``name``, one row per frame. A
-        core-state column is read once per run of consecutive rows;
-        ``channel_first`` moves its last axis first, so (N, H, W, D) maps
-        come back as C-contiguous (N, D, H, W) ones. A single run kept as
-        read is returned as it is; anything else is one copy."""
+        core-state column is read once per run of consecutive rows, cut at
+        every ``block_rows`` rows of the table; ``channel_first`` moves its
+        last axis first, so (N, H, W, D) maps come back as C-contiguous
+        (N, D, H, W) ones. A single run kept as read is returned as it is;
+        otherwise the runs are read into one new array."""
         if name == "readings":
             return self.readings
         rows = np.arange(len(self)) if self._rows is None else self._rows
-        runs = np.split(rows, np.flatnonzero(np.diff(rows) != 1) + 1) if len(rows) else []
+        step = block_rows(shape[1:] for shape in self._core.shapes.values())
+        cuts = (np.diff(rows) != 1) | (np.arange(1, len(rows)) % step == 0)
+        runs = np.split(rows, np.flatnonzero(cuts) + 1) if len(rows) else []
         if not channel_first and len(runs) == 1:
             return self._core.read(name, int(rows[0]), int(rows[-1]) + 1)
         shape = self._core.shapes[name][1:]
@@ -375,18 +383,21 @@ class FrameTable:
                        dtype=np.float32)
         filled = 0
         for run in runs:
-            part = self._core.read(name, int(run[0]), int(run[-1]) + 1)
-            out[filled:filled + len(run)] = np.moveaxis(part, -1, 1) if channel_first else part
+            lo, hi, part = int(run[0]), int(run[-1]) + 1, out[filled:filled + len(run)]
+            if channel_first:
+                part[...] = np.moveaxis(self._core.read(name, lo, hi), -1, 1)
+            else:
+                self._core.read(name, lo, hi, out=part)
             filled += len(run)
         return out
 
     def blocks(self, rows: int | None = None):
         """The table's frames in order, as consecutive sub-tables of ``rows``
         rows, by default ``block_rows`` of its core state (the last may be
-        shorter)."""
+        shorter), each with the slice of the table's rows it holds."""
         step = rows or block_rows(shape[1:] for shape in self._core.shapes.values())
         for lo in range(0, len(self), step):
-            yield self.take(slice(lo, lo + step))
+            yield slice(lo, lo + step), self.take(slice(lo, lo + step))
 
     @property
     def thermal_power(self) -> np.ndarray:
@@ -450,12 +461,13 @@ def filter_transients(table: FrameTable, rated_power: float = 1.0) -> FrameTable
     readings = table.readings
     over = np.zeros(len(table), dtype=bool)
     for cycle in np.unique(table.cycles):
-        rows = table.cycles == cycle
-        stack = readings[rows]
-        with np.errstate(invalid="ignore"):
-            med = np.nanmedian(np.where(np.isfinite(stack), stack, np.nan), axis=0)
-        cap = np.where(np.isfinite(med) & (med > 0.0), MEDIAN_RATIO * med, np.inf)
-        over[rows] = np.any(stack > cap, axis=1)
+        rows = np.flatnonzero(table.cycles == cycle)
+        for j in range(readings.shape[1]):  # a detector at a time: no copy of the cycle
+            col = readings[rows, j]
+            finite = col[np.isfinite(col)]
+            med = np.median(finite) if finite.size else np.float32(0.0)
+            if med > 0.0:
+                over[rows] |= col > MEDIAN_RATIO * med
     # thermal power is compared at its float32 precision, as the column holds it
     keep = ((table.thermal_power >= np.float32(0.9 * rated_power))
             & np.all(np.isfinite(readings), axis=1)
@@ -521,7 +533,7 @@ def save_archive(frames, path) -> None:
     if isinstance(frames, FrameTable):
         if not len(frames):
             raise DataError("cannot archive an empty frame table")
-        frames = frames.blocks()
+        frames = (block for _, block in frames.blocks())
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     shapes, records = {}, []
@@ -582,13 +594,18 @@ def read_manifest(directory, fmt: str, schema: int) -> dict:
     return manifest
 
 
-def read_blob(path, offset: int = 0, count: int = -1) -> np.ndarray:
-    """``count`` values (all by default) of a flat little-endian float32 blob,
-    from value ``offset`` on; a missing file is a ``DataError``."""
+def read_blob(path, out: np.ndarray, offset: int = 0) -> np.ndarray:
+    """``out``, a ``"<f4"`` array, filled straight from a flat little-endian
+    float32 blob, from value ``offset`` on; a missing file, or one too short
+    to fill ``out``, is a ``DataError``."""
     try:
-        return np.fromfile(path, dtype="<f4", count=count, offset=4 * offset)
+        with open(path, "rb") as fh:
+            fh.seek(4 * offset)
+            if fh.readinto(out) == out.nbytes:
+                return out
     except OSError as err:
         raise DataError(f"cannot read {path}: {err.strerror or err}") from None
+    raise DataError(f"{path} holds fewer than {offset + out.size} values")
 
 
 def check_blob_size(blob: Path, values: int) -> None:
@@ -604,7 +621,8 @@ def check_blob_size(blob: Path, values: int) -> None:
 
 class _ArchiveColumns:
     """The core-state blobs of the archive at ``path``: their full ``shapes``,
-    and ``read(name, lo, hi)``, one ``read_blob`` of rows ``lo`` to ``hi``.
+    and ``read(name, lo, hi, out)``, one ``read_blob`` of rows ``lo`` to ``hi``
+    into ``out``, or into a new array if it is not given.
     The first read checks all five blobs over every frame, one block at a
     time; a failed check is made again by the next read."""
 
@@ -612,17 +630,17 @@ class _ArchiveColumns:
         self.path, self.timestamps, self.checked = path, timestamps, False
         self.shapes = {name: (len(timestamps),) + shapes[name] for name in CORE_STATE_FIELDS}
 
-    def read(self, name: str, lo: int, hi: int) -> np.ndarray:
+    def read(self, name: str, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         if not self.checked:
             _check_core_state(self.shapes, self._read, self.timestamps)
             self.checked = True
-        return self._read(name, lo, hi)
+        return self._read(name, lo, hi, out)
 
-    def _read(self, name: str, lo: int, hi: int) -> np.ndarray:
+    def _read(self, name: str, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         shape = self.shapes[name]
-        hi, size = min(hi, shape[0]), int(np.prod(shape[1:]))
-        raw = read_blob(self.path / f"{name}.bin", lo * size, (hi - lo) * size)
-        return raw.reshape((hi - lo,) + shape[1:])
+        if out is None:
+            out = np.empty((min(hi, shape[0]) - lo,) + shape[1:], dtype="<f4")
+        return read_blob(self.path / f"{name}.bin", out, lo * int(np.prod(shape[1:])))
 
 
 def load_archive(path) -> FrameTable:
@@ -656,6 +674,7 @@ def load_archive(path) -> FrameTable:
         raise DataError(f"readings must be a flat vector, got shape {shapes['readings']}")
     for name in ARCHIVE_FIELDS:
         check_blob_size(path / f"{name}.bin", count * int(np.prod(shapes[name])))
-    readings = read_blob(path / "readings.bin").reshape((count,) + shapes["readings"])
+    readings = read_blob(path / "readings.bin",
+                         np.empty((count,) + shapes["readings"], dtype="<f4"))
     return FrameTable(readings, timestamps, cycles, _ArchiveColumns(path, shapes, timestamps),
                       bypassed)

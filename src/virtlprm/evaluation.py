@@ -24,16 +24,6 @@ class CoverageError(DataError):
 # predictors: anything that can fill (part of) a 172-wide reading vector
 
 
-def _row_blocks(table: FrameTable, rows: int | None = None):
-    """Each block of ``table.blocks(rows)`` with the slice of the table's
-    rows it holds: the one walk of every prediction, so one block's core
-    state is held at a time."""
-    lo = 0
-    for block in table.blocks(rows):
-        yield slice(lo, lo + len(block)), block
-        lo += len(block)
-
-
 class OraclePredictor:
     """Analytic response model: predicts every detector from the core state."""
 
@@ -42,7 +32,7 @@ class OraclePredictor:
 
     def predict(self, table: FrameTable, geom: CoreGeometry) -> np.ndarray:
         out = np.empty((len(table), geom.detector_count), dtype=np.float32)
-        for rows, block in _row_blocks(table):
+        for rows, block in table.blocks():
             out[rows] = oracle_readings(block.column("np"), block.column("rv"),
                                         block.thermal_power, geom)
         return out
@@ -66,7 +56,7 @@ class _ModelPredictor:
         this is the one place a model's rows are cut."""
         out = np.full((len(table), geom.detector_count), np.nan, dtype=np.float32)
         covered = self.covered(geom)
-        for rows, block in _row_blocks(table, PREDICT_CHUNK):
+        for rows, block in table.blocks(PREDICT_CHUNK):
             out[rows, covered] = predict_batch(self.model, self.model_inputs(block, geom))
         return out
 
@@ -241,23 +231,24 @@ def rmse_report(predictor, table: FrameTable, geom: CoreGeometry,
     if covered.size == 0:
         raise CoverageError("predictor covers no detectors")
     measured = table.readings
+    mean_abs = measured[:, covered]  # a copy, freed before the predictions are made
+    mean_abs = float(np.mean(np.abs(mean_abs, out=mean_abs)))
     predictions = predictor.predict(table, geom)
     if predictions.shape != measured.shape:
         raise DataError(f"predictions shaped {predictions.shape} for "
                         f"{measured.shape} measurements")
 
-    err = predictions[:, covered] - measured[:, covered]
+    # a detector at a time, so no (N, k) error array is held beside the
+    # predictions; each mean is the one a whole-array formula takes of its column
     rmse = np.full(geom.detector_count, np.nan)
-    rmse[covered] = np.sqrt(np.mean(err ** 2, axis=0))
+    for i in covered:
+        err = predictions[:, i] - measured[:, i]
+        rmse[i] = np.sqrt(np.mean(err ** 2))
+    del predictions
     groups = _group_stats(rmse, covered, geom)
-    mean_abs = float(np.mean(np.abs(measured[:, covered])))
     percent = float(groups["overall"].mean_rmse / mean_abs * 100.0) if mean_abs > 0 else float("inf")
 
-    ref_groups = None
-    if reference is not None:
-        ref_report = rmse_report(reference, table, geom)
-        ref_groups = ref_report.groups
-
+    ref_groups = None if reference is None else rmse_report(reference, table, geom).groups
     per_detector = {geom.detectors[i].code: float(rmse[i]) for i in covered}
     return RmseReport(per_detector=per_detector, groups=groups,
                       percent_error=percent, reference=ref_groups)
@@ -323,7 +314,7 @@ class VirtualSensor:
                             f"{geom.detectors[col].code} at timestamp {timestamps[row]}")
 
         out = np.empty_like(readings)
-        for rows, block in _row_blocks(table, PREDICT_CHUNK):
+        for rows, block in table.blocks(PREDICT_CHUNK):
             block.readings = inputs = np.where(mask[rows], np.float32(0.0), block.readings)
             with np.errstate(over="ignore", invalid="ignore"):  # non-finite results: below
                 out[rows] = np.where(mask[rows], self.predictor.predict(block, geom), inputs)

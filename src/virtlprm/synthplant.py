@@ -7,9 +7,9 @@ local rod variable) so that an independent brute-force check is feasible
 and trained models have learnable signal. The generator is a pure
 function of (scenario, geometry): every frame is derived from closed-form
 fields plus per-frame seeded rng streams, so frames can be produced in
-any order or in parallel. ``_fill_cycle`` builds them a sub-block of
-frames at a time, with column operations that give each frame the bits
-it would get alone.
+any order or in parallel. ``_fill_cycle`` builds a range of them at a
+time, with column operations that give each frame the bits it would get
+alone.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class PlantScenario:
     def __post_init__(self):
         if self.frame_count < 1:
             raise DataError(f"frame_count must be >= 1, got {self.frame_count}")
-        if self.noise_sigma < 0:
-            raise DataError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise DataError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0.0 <= self.drift_rate < 1.0:
             raise DataError(f"drift_rate must lie in [0, 1), got {self.drift_rate}")
         if not 0.0 <= self.symmetry_fidelity <= 1.0:
@@ -271,15 +271,16 @@ def plant_blocks(scenarios, geom: CoreGeometry, rows: int | None = None):
     """The frames of several cycles, in the given order, as consecutive frame
     tables of ``rows`` rows, by default ``coredata.block_rows`` of their core
     state (the last may be shorter; a block may span cycles). Each cycle's
-    frames come from one ``_CycleModel``, a frame range at a time, into the
-    buffers of the block before: a block is valid until the next is asked for.
-    ``_fill_cycle`` fills a range in sub-blocks of ``FILL_BLOCK_BYTES``."""
+    frames come from one ``_CycleModel``, in ranges of at most ``block_rows``
+    frames, into the buffers of the block before: a block is valid until the
+    next is asked for."""
     scenarios = list(scenarios)
     h, w = geom.h, geom.w
     shapes = {"np": (h, w, geom.d), "rv": (h, w, geom.dprime), "rp": (h, w),
               "nbd": (h, w, geom.dprime), "scalars": (3,)}
     n = sum(s.frame_count for s in scenarios)
-    step = max(min(rows or block_rows(shapes.values()), n), 1)
+    fill = block_rows(shapes.values())
+    step = max(min(rows or fill, n), 1)
     core = {name: np.empty((step,) + shape, dtype=np.float32) for name, shape in shapes.items()}
     readings = np.empty((step, geom.detector_count), dtype=np.float32)
     timestamps = np.array([s.cycle_id * 1_000_000 + t for s in scenarios
@@ -296,7 +297,7 @@ def plant_blocks(scenarios, geom: CoreGeometry, rows: int | None = None):
         model = _CycleModel(scenario, geom)
         t = 0
         while t < scenario.frame_count:
-            frames = range(t, min(t + step - filled, scenario.frame_count))
+            frames = range(t, min(t + step - filled, t + fill, scenario.frame_count))
             rows = slice(filled, filled + len(frames))
             _fill_cycle(model, frames, {name: col[rows] for name, col in core.items()},
                         readings[rows])
@@ -308,54 +309,39 @@ def plant_blocks(scenarios, geom: CoreGeometry, rows: int | None = None):
         yield block(lo, filled)
 
 
-# Bytes of float32 nodal power per ``_fill_cycle`` sub-block: 16 frames on
-# the default layout. Its (H, W) steps run once per sub-block rather than
-# once per frame. On a 2-core Xeon a 500-frame cycle took about 280 ms frame
-# by frame, 205 ms in sub-blocks of 8 frames, 182 ms of 16 and 170 ms of 32;
-# the stacked temporaries grow with it, and at 16 frames `gen` peaks no higher
-# than frame by frame. The frames do not depend on it.
-FILL_BLOCK_BYTES = 1_500_000
-
-
 def _fill_cycle(model: _CycleModel, frames: range, core: dict, readings: np.ndarray) -> None:
     """Write frames ``frames`` of ``model``'s cycle into the rows ``core`` and
-    ``readings`` hold, in order, a sub-block of frames at a time. Each frame
-    draws from its own seeded streams: ``[seed, cycle, t]`` for its scalars,
-    ``[seed, cycle, t, 3]`` for its power ripple and ``[seed, cycle, t, 7]``
-    for its reading noise."""
+    ``readings`` hold, in order. Each frame draws from its own seeded
+    streams: ``[seed, cycle, t]`` for its scalars, ``[seed, cycle, t, 3]``
+    for its power ripple and ``[seed, cycle, t, 7]`` for its reading noise."""
     scenario, geom = model.scenario, model.geom
     key = [scenario.seed, scenario.cycle_id]
-    denom = max(scenario.frame_count - 1, 1)
-    step = max(1, FILL_BLOCK_BYTES // (4 * geom.h * geom.w * geom.d))
-    ripple_noise = np.empty((min(step, len(frames)), geom.h, geom.w))
-    for lo in range(0, len(frames), step):
-        sub = frames[lo:lo + step]
-        rows = slice(lo, lo + len(sub))
-        u = np.arange(sub.start, sub.stop) / denom
-        rp, nbd, rv = core["rp"][rows], core["nbd"][rows], core["rv"][rows]
-        model.rod_pattern(u, out=rp)
-        model.blade_depletion(u, out=nbd)
-        derive_rod_variable(rp, nbd, out=rv)
+    u = np.arange(frames.start, frames.stop) / max(scenario.frame_count - 1, 1)
+    rp, nbd, rv = core["rp"], core["nbd"], core["rv"]
+    model.rod_pattern(u, out=rp)
+    model.blade_depletion(u, out=nbd)
+    derive_rod_variable(rp, nbd, out=rv)
 
-        tp = 0.965 + 0.025 * np.sin(2 * np.pi * model.power_trend["freq"] * u
-                                    + model.power_trend["phase"])
-        subcool = 1.0 + 0.08 * np.sin(2 * np.pi * model.subcool_trend["freq"] * u
-                                      + model.subcool_trend["phase"])
-        flow = 0.97 + 0.04 * np.sin(2 * np.pi * model.flow_trend["freq"] * u
-                                    + model.flow_trend["phase"])
-        for j, t in enumerate(sub):
-            rng_t = np.random.default_rng(key + [t])
-            tp[j] += 0.004 * rng_t.standard_normal()
-            if rng_t.random() < DIP_PROBABILITY:
-                tp[j] = rng_t.uniform(0.72, 0.88)
-            subcool[j] += 0.01 * rng_t.standard_normal()
-            flow[j] += 0.005 * rng_t.standard_normal()
-            np.random.default_rng(key + [t, 3]).standard_normal(out=ripple_noise[j])
-        scalars = core["scalars"][rows]
-        scalars[:, 0] = np.clip(tp, 0.6, 1.02, out=tp)
-        scalars[:, 1], scalars[:, 2] = subcool, flow
-        nodal = model.nodal_power(u, rv, ripple_noise[:len(sub)], out=core["np"][rows])
-        readings[rows] = oracle_readings(nodal, rv, scalars[:, 0], geom)
+    tp = 0.965 + 0.025 * np.sin(2 * np.pi * model.power_trend["freq"] * u
+                                + model.power_trend["phase"])
+    subcool = 1.0 + 0.08 * np.sin(2 * np.pi * model.subcool_trend["freq"] * u
+                                  + model.subcool_trend["phase"])
+    flow = 0.97 + 0.04 * np.sin(2 * np.pi * model.flow_trend["freq"] * u
+                                + model.flow_trend["phase"])
+    ripple_noise = np.empty((len(frames), geom.h, geom.w))
+    for j, t in enumerate(frames):
+        rng_t = np.random.default_rng(key + [t])
+        tp[j] += 0.004 * rng_t.standard_normal()
+        if rng_t.random() < DIP_PROBABILITY:
+            tp[j] = rng_t.uniform(0.72, 0.88)
+        subcool[j] += 0.01 * rng_t.standard_normal()
+        flow[j] += 0.005 * rng_t.standard_normal()
+        np.random.default_rng(key + [t, 3]).standard_normal(out=ripple_noise[j])
+    scalars = core["scalars"]
+    scalars[:, 0] = np.clip(tp, 0.6, 1.02, out=tp)
+    scalars[:, 1], scalars[:, 2] = subcool, flow
+    nodal = model.nodal_power(u, rv, ripple_noise, out=core["np"])
+    readings[:] = oracle_readings(nodal, rv, scalars[:, 0], geom)
 
     # Python's ``**``: numpy's ``power`` may round differently
     drift = np.float32([(1.0 - scenario.drift_rate) ** t for t in frames])

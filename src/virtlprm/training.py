@@ -6,8 +6,9 @@ best-validation checkpointing.
 from __future__ import annotations
 
 import csv
-import numbers
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -51,14 +52,20 @@ class TrainConfig:
     warmup_frac: float = 0.3
 
     def __post_init__(self):
-        if self.max_lr <= 0:
-            raise ValueError(f"max_lr must be positive, got {self.max_lr}")
-        if not 0.0 <= self.bypass_p <= 1.0:
-            raise ValueError(f"bypass_p must lie in [0, 1], got {self.bypass_p}")
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("max_lr", "bypass_p", "weight_decay", "warmup_frac"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not (self.max_lr > 0 and self.weight_decay >= 0):
+            raise ValueError(f"max_lr must be positive and weight_decay non-negative, got "
+                             f"{self.max_lr} and {self.weight_decay}")
+        for name in ("bypass_p", "warmup_frac"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if self.epochs < 1 or self.batch_size < 2:
             raise ValueError("need at least 1 epoch and a batch size of at least 2")
 

@@ -141,18 +141,28 @@ class TestGen:
 
 
 @pytest.mark.parametrize("command, key, value", [
-    ("gen", "seed", "x"), ("train", "seed", "abc"), ("train", "rated_power", "high")])
+    ("gen", "seed", "x"), ("train", "seed", "abc"), ("train", "rated_power", "high"),
+    ("gen", "symmetry_fidelity", "1"), ("gen", "noise_sigma", "0.01"),
+    ("gen", "drift_rate", True), ("train", "rated_power", "1.0"),
+    ("train", "rated_power", True), ("train", "weight_decay", "0.01"),
+    ("train", "warmup_frac", "0.3"), ("train", "max_lr", True), ("train", "bypass_p", True),
+    ("train", "weight_decay", -5), ("train", "warmup_frac", 1.5),
+    ("train", "max_lr", float("nan"))])
 def test_non_numeric_config_value_is_config_error(small_archive, tmp_path, monkeypatch,
                                                   capsys, command, key, value):
+    """A config number given as a string or a boolean, or a training
+    setting out of its range (a JSON NaN included), is refused before
+    anything is generated, read or written: it is never coerced."""
     fail_on_archive_read(monkeypatch)
+    fail_on_generation(monkeypatch)
     if command == "gen":
         cfg = write_gen_config(tmp_path / "g.json",
-                               [{"cycle_id": 1, "frame_count": 4, key: value}])
+                               [{"cycle_id": 1, "frame_count": 4, "seed": 1, key: value}])
         argv = ["gen", "--config", str(cfg), "--out", str(tmp_path / "run")]
     else:
         cfg = train_config(tmp_path / "exp.json", small_archive, "surrogate-ab")
         config = json.loads(cfg.read_text())
-        config[key] = value
+        (config if key in ("seed", "rated_power") else config["train"])[key] = value
         cfg.write_text(json.dumps(config))
         argv = ["train", "--config", str(cfg)]
     assert main(argv) == 2
@@ -161,6 +171,18 @@ def test_non_numeric_config_value_is_config_error(small_archive, tmp_path, monke
     assert "config error" in captured.err and key in captured.err
     assert repr(value) in captured.err
     assert not (tmp_path / "run").exists()
+
+
+def test_int_for_real_setting_is_valid(tmp_path):
+    """A JSON integer is a number: a real setting given as one generates the
+    archive its float does."""
+    for kind, value in (("int", 0), ("float", 0.0)):
+        cfg = write_gen_config(tmp_path / f"{kind}.json", [{
+            "cycle_id": 1, "frame_count": 4, "seed": 1, "symmetry_fidelity": value + 1,
+            "noise_sigma": value, "drift_rate": value}])
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / kind)]) == 0
+    for name in ARCHIVE_FILES:
+        assert (tmp_path / "int" / name).read_bytes() == (tmp_path / "float" / name).read_bytes()
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -224,7 +246,8 @@ def test_cycles_out_of_config_order_are_config_error(tmp_path, monkeypatch, caps
     ("gen", "cycle_id", 1.9), ("gen", "frame_count", 12.7), ("gen", "seed", 2.5),
     ("gen", "frame_count", True), ("gen", "cycle_id", "1"),
     ("train", "epochs", 2.5), ("train", "batch_size", 8.5), ("train", "epochs", True),
-    ("train", "batch_size", "16")])
+    ("train", "batch_size", "16"), ("train", "seed", 2.5), ("train", "seed", "3"),
+    ("train", "seed", True)])
 def test_non_integer_setting_is_config_error(small_archive, tmp_path, monkeypatch, capsys,
                                              command, key, value):
     fail_on_archive_read(monkeypatch)
@@ -236,7 +259,7 @@ def test_non_integer_setting_is_config_error(small_archive, tmp_path, monkeypatc
     else:
         cfg = train_config(tmp_path / "exp.json", small_archive, "surrogate-ab")
         config = json.loads(cfg.read_text())
-        config["train"][key] = value
+        (config if key == "seed" else config["train"])[key] = value
         cfg.write_text(json.dumps(config))
         argv = ["train", "--config", str(cfg)]
     assert main(argv) == 2
@@ -332,12 +355,44 @@ def test_negative_seed_is_config_error(small_archive, tmp_path, monkeypatch, cap
     assert not (tmp_path / "run").exists()
 
 
+def test_eval_seed_takes_the_env_override(small_archive, tmp_path, monkeypatch, capsys):
+    """``VIRTLPRM_SEED`` overrides ``eval --seed`` as it does the seed of a
+    ``train`` config, so eval scores the test frames of the split that
+    train drew."""
+    scored = []
+    report = cli.rmse_report
+
+    def record(predictor, table, geom, **kwargs):
+        scored.append(table.timestamps.tolist())
+        return report(predictor, table, geom, **kwargs)
+    monkeypatch.setattr(cli, "rmse_report", record)
+    monkeypatch.setenv("VIRTLPRM_SEED", "7")
+    assert main(["eval", "--checkpoint", "oracle", "--archive", str(small_archive),
+                 "--out", str(tmp_path / "eval"), "--seed", "3"]) == 0
+    kept = coredata.filter_transients(load_archive(small_archive))
+    drawn = {seed: coredata.split_surrogate(kept, seed=seed)[2].timestamps.tolist()
+             for seed in (3, 7)}
+    assert drawn[3] != drawn[7]
+    assert scored == [drawn[7]]
+
+
+def test_eval_takes_no_part_option(small_archive, tmp_path, capsys):
+    """``eval`` scores the test part of its split, or every frame with
+    ``--split none``; there is no option to score another part."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval", "--checkpoint", "oracle", "--archive", str(small_archive),
+              "--out", str(tmp_path / "eval"), "--part", "train"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --part train" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("command, name, value", [
     ("report", "--threshold", "nan"), ("report", "--threshold", "-1"),
     ("report", "--threshold", "inf"), ("eval", "--rated-power", "0"),
     ("eval", "--rated-power", "-2"), ("eval", "--rated-power", "nan"),
     ("eval", "--rated-power", "inf"), ("train", "rated_power", 0),
-    ("train", "rated_power", -1.5), ("train", "rated_power", "nan")])
+    ("train", "rated_power", -1.5), ("train", "rated_power", float("nan"))])
 def test_out_of_range_number_is_config_error(small_archive, tmp_path, monkeypatch, capsys,
                                              command, name, value):
     """A non-finite or negative drift threshold, and a rated power that is not
@@ -1226,13 +1281,41 @@ class TestCoreStateBlocks:
             capsys.readouterr()
         assert (peaks[1] - peaks[0]) / (3 * n) < 2048
 
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    def test_every_archive_read_within_block_rows(self, tmp_path, monkeypatch, capsys,
+                                                  command):
+        """The first-use check and every later read of a 14-frame archive
+        (four blocks) fetch at most ``block_rows`` frames of a field: one
+        row budget for the check, the transient filter and the oracle."""
+        cfg = write_gen_config(tmp_path / "g.json", self.CYCLES)
+        archive = tmp_path / "archive"
+        assert main(["gen", "--config", str(cfg), "--out", str(archive)]) == 0
+        reads = []
+        read = coredata._ArchiveColumns._read
+
+        def record(columns, name, lo, hi, out=None):
+            block = read(columns, name, lo, hi, out)
+            reads.append((name, len(block)))
+            return block
+        monkeypatch.setattr(coredata._ArchiveColumns, "_read", record)
+        argv = {"eval": ["eval", "--checkpoint", "oracle", "--archive", str(archive),
+                         "--out", str(tmp_path / "out"), "--reference-oracle"],
+                "report": ["report", "--checkpoint", "oracle", "--archive", str(archive),
+                           "--out", str(tmp_path / "out")]}[command]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # the check: field by field, each in the table's four blocks
+        assert reads[:5 * 4] == [(name, rows) for name in coredata.CORE_STATE_FIELDS
+                                 for rows in (4, 4, 4, 2)]
+        assert max(rows for _, rows in reads) <= 4
+
     def test_fault_in_a_late_block_is_found(self, trained_run, small_archive, tmp_path, capsys,
                                             blob_reads):
         bad = tmp_path / "bad"
         shutil.copytree(small_archive, bad)
         frames = load_archive(small_archive)
         geom = default_geometry()
-        last = len(frames) - 1  # nbd is checked 12 frames a block; this is block 6
+        last = len(frames) - 1  # every field is checked 4 frames a block; this is block 18
         poison_blob(bad, "nbd", offset=(last * geom.h * geom.w + 5) * geom.dprime)
         argvs = {
             "train": ["train", "--config",
@@ -1249,7 +1332,7 @@ class TestCoreStateBlocks:
             assert captured.out == "", command
             assert (f"non-finite values (field 'nbd', first in the frame at timestamp "
                     f"{frames.timestamps[last]})") in captured.err, command
-            assert blob_reads.count("nbd.bin") == 6, command  # one read_blob a block
+            assert blob_reads.count("nbd.bin") == 18, command  # one read_blob a block
 
         blob_reads.clear()
         assert main(["infer", "--checkpoint", str(trained_run["out_dir"] / "checkpoint"),

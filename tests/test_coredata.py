@@ -66,7 +66,7 @@ class TestDetectorId:
         assert DetectorId.parse(" 3a ") == DetectorId(3, "A")
 
     def test_rejects_garbage(self):
-        for bad in ("", "A", "12", "0X", "1E"):
+        for bad in ("", "A", "12", "0X", "1E", "\u00b2A"):  # a superscript is no decimal digit
             with pytest.raises(DataError):
                 DetectorId.parse(bad)
 
@@ -492,6 +492,15 @@ class TestArchive:
         assert selected.thermal_power.tolist() == frames.thermal_power[[2, 0]].tolist()
         for name in cd.CORE_STATE_FIELDS:  # bit-exact
             np.testing.assert_array_equal(archive.column(name), frames.column(name))
+
+    def test_read_blob_fills_out_or_refuses(self, tmp_path):
+        blob = tmp_path / "x.bin"
+        np.arange(5, dtype="<f4").tofile(blob)
+        out = np.empty(3, dtype="<f4")
+        assert cd.read_blob(blob, out, 2) is out
+        assert out.tolist() == [2.0, 3.0, 4.0]
+        with pytest.raises(DataError, match="holds fewer than 6 values"):
+            cd.read_blob(blob, out, 3)
 
     @pytest.mark.parametrize("name", ["np", "rv", "rp", "nbd", "scalars"])
     def test_rejects_short_core_state_blob_at_open(self, tmp_path, blob_reads, name):

@@ -109,6 +109,33 @@ class TestRmseReport:
         assert report.groups["overall"].detector_count == 2
         assert set(report.per_detector) == {"1A", "7C"}
 
+    @pytest.mark.parametrize("columns", ["all", "set B", "one"])
+    def test_matches_whole_array_formula_bitwise(self, session_geom, clean_frames, columns):
+        # rmse_report works a detector at a time; its figures are those of
+        # the whole-array formula, bit for bit, whatever the coverage
+        rng = np.random.default_rng(8)
+        frames = clean_frames.take(np.tile(np.arange(len(clean_frames)), 8))
+        frames.readings = rng.uniform(0.5, 2.0, frames.readings.shape).astype(np.float32)
+        covered = {"all": np.arange(session_geom.detector_count),
+                   "set B": session_geom.indices_for_set("B"), "one": np.array([17])}[columns]
+        predictions = np.full(frames.readings.shape, np.nan, dtype=np.float32)
+        predictions[:, covered] = (frames.readings[:, covered]
+                                   + rng.normal(0.0, 0.1, (len(frames), covered.size)))
+
+        class Fixed:
+            def covered(self, geom):
+                return covered
+
+            def predict(self, table, geom):
+                return predictions.copy()
+        report = rmse_report(Fixed(), frames, session_geom)
+        measured = frames.readings[:, covered]
+        want = np.sqrt(np.mean((predictions[:, covered] - measured) ** 2, axis=0))
+        assert [report.per_detector[session_geom.detectors[i].code] for i in covered] == \
+            want.tolist()
+        assert report.percent_error == float(want.astype(np.float64).mean()
+                                             / float(np.mean(np.abs(measured))) * 100.0)
+
     def test_empty_frames_rejected(self, session_geom, clean_frames):
         with pytest.raises(DataError, match="empty"):
             rmse_report(OraclePredictor(), clean_frames.take([]), session_geom)

@@ -10,7 +10,7 @@ from virtlprm.coredata import (
     default_geometry,
     geometry_from_layout,
 )
-from virtlprm import synthplant
+from virtlprm import coredata, synthplant
 from virtlprm.synthplant import (
     LEVEL_AXIAL_NODE,
     PlantScenario,
@@ -57,8 +57,9 @@ class TestScenarioValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(DataError):
             PlantScenario(cycle_id=1, frame_count=0, seed=0)
-        with pytest.raises(DataError):
-            PlantScenario(cycle_id=1, frame_count=1, seed=0, noise_sigma=-0.1)
+        for sigma in (-0.1, float("nan"), float("inf")):  # a NaN is no zero
+            with pytest.raises(DataError, match="noise_sigma must be finite"):
+                PlantScenario(cycle_id=1, frame_count=1, seed=0, noise_sigma=sigma)
         with pytest.raises(DataError):
             PlantScenario(cycle_id=1, frame_count=1, seed=0, drift_rate=1.0)
         with pytest.raises(DataError):
@@ -238,25 +239,26 @@ class TestGenerator:
         assert digest.hexdigest() == \
             "a92b42d11d32d90e48fbaca2aeeb91e6f7e22d2ec81d7f3467d09cfe2614640c"
 
-    @pytest.mark.parametrize("sub_block", [None, 1, 7])
-    def test_streamed_cycle_across_sub_blocks_is_pinned(self, geom, monkeypatch, sub_block):
+    @pytest.mark.parametrize("budget", [None, 1, 7])
+    def test_streamed_cycle_across_sub_blocks_is_pinned(self, geom, monkeypatch, budget):
         # SHA-256 over all six columns of one 90-frame cycle with broken
-        # symmetry, noise and a drifting subset, streamed as plant_blocks'
-        # 62- and 28-frame blocks, each several fill sub-blocks long; a
-        # sub-block of any size yields the same bytes
-        bytes_per_frame = 4 * geom.h * geom.w * geom.d
-        if sub_block is None:  # the default cuts each block into several sub-blocks
-            assert 1 < synthplant.FILL_BLOCK_BYTES // bytes_per_frame < 28
-        else:
-            monkeypatch.setattr(synthplant, "FILL_BLOCK_BYTES", sub_block * bytes_per_frame)
+        # symmetry, noise and a drifting subset, streamed by plant_blocks
+        # under a core-state budget of 1 frame, 7 frames or the default 62,
+        # each block filled as one range: any budget yields the bytes of the
+        # whole cycle filled at the default
         scenario = PlantScenario(cycle_id=4, frame_count=90, seed=33, symmetry_fidelity=0.6,
                                  noise_sigma=0.01, drift_rate=0.004,
                                  drift_detectors=frozenset({DetectorId(9, "C"),
                                                             DetectorId(20, "D")}))
+        whole = generate_cycle(scenario, geom)
+        sizes = [62, 28]
+        if budget is not None:
+            frame_bytes = 4 * (geom.h * geom.w * (geom.d + 2 * geom.dprime + 1) + 3)
+            monkeypatch.setattr(coredata, "CORE_BLOCK_BYTES", budget * frame_bytes)
+            sizes = [budget] * (90 // budget) + [90 % budget] * (90 % budget > 0)
         blocks = [{name: block.column(name).copy() for name in ARCHIVE_FIELDS}
                   for block in plant_blocks([scenario], geom)]
-        assert [len(block["readings"]) for block in blocks] == [62, 28]
-        whole = generate_cycle(scenario, geom)
+        assert [len(block["readings"]) for block in blocks] == sizes
         digest = hashlib.sha256()
         for name in ARCHIVE_FIELDS:
             column = np.concatenate([block[name] for block in blocks])
@@ -264,6 +266,21 @@ class TestGenerator:
             digest.update(column.tobytes())
         assert digest.hexdigest() == \
             "3615e75c30cfdbee8518439871cb53197741e0e51fda6c6e83ddddfce5915840"
+
+    def test_generate_plant_fills_block_rows_at_a_time(self, geom, monkeypatch):
+        # one all-rows table, still filled in ranges of at most block_rows
+        # frames; a range ends with its cycle
+        ranges = []
+        fill = synthplant._fill_cycle
+
+        def record(model, frames, core, readings):
+            ranges.append((model.scenario.cycle_id, len(frames)))
+            fill(model, frames, core, readings)
+        monkeypatch.setattr(synthplant, "_fill_cycle", record)
+        frames = generate_plant([PlantScenario(cycle_id=1, frame_count=70, seed=2),
+                                 PlantScenario(cycle_id=2, frame_count=65, seed=2)], geom)
+        assert len(frames) == 135
+        assert ranges == [(1, 62), (1, 8), (2, 62), (2, 3)]
 
     def test_generate_plant_concatenates_cycles(self, geom):
         frames = generate_plant([

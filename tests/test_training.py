@@ -404,3 +404,28 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match="must be an integer"):
                 TrainConfig(max_lr=0.1, **bad)
         assert TrainConfig(max_lr=0.1, epochs=np.int64(3)).epochs == 3
+
+    REAL_CASES = [
+        ("max_lr", float("nan"), "max_lr must be a finite number"),
+        ("max_lr", float("inf"), "max_lr must be a finite number"),
+        ("max_lr", True, "max_lr must be a finite number"),
+        ("max_lr", "0.1", "max_lr must be a finite number"),
+        ("weight_decay", "0.01", "weight_decay must be a finite number"),
+        ("weight_decay", -5, "weight_decay non-negative, got 0.1 and -5"),
+        ("max_lr", 0, "max_lr must be positive"),
+        ("weight_decay", float("nan"), "weight_decay must be a finite number"),
+        ("warmup_frac", "0.3", "warmup_frac must be a finite number"),
+        ("warmup_frac", -0.1, r"warmup_frac must lie in \[0, 1\]"),
+        ("warmup_frac", 1.5, r"warmup_frac must lie in \[0, 1\]"),
+        ("bypass_p", True, "bypass_p must be a finite number"),
+    ]
+
+    @pytest.mark.parametrize("key, value, message", REAL_CASES,
+                             ids=[f"{key}={value!r}" for key, value, _ in REAL_CASES])
+    def test_real_setting_checked_not_coerced(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{"max_lr": 0.1, key: value})
+
+    def test_int_for_real_setting_is_valid(self):
+        cfg = TrainConfig(max_lr=1, weight_decay=0, warmup_frac=1, bypass_p=0)
+        assert (cfg.max_lr, cfg.weight_decay, cfg.warmup_frac, cfg.bypass_p) == (1, 0, 1, 0)
